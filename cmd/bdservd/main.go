@@ -9,8 +9,9 @@
 // and persisted: unless disabled, lifecycle records are appended to an
 // NDJSON journal under -data-dir and replayed on boot, so a restarted
 // daemon still serves previously completed jobs' status and results.
-// With -characterize-only the daemon accepts only observation-matrix
-// jobs — the worker role behind a bdcoord shard coordinator. With
+// Every daemon serves POST /v1/cells, the one request per shard unit a
+// bdcoord coordinator sends its workers; with -characterize-only it also
+// accepts only observation-matrix jobs — the worker role. With
 // -register it self-registers with a coordinator under a heartbeat
 // lease (renewed every lease-ttl/3, retried with backoff across
 // coordinator restarts) and releases the lease on shutdown.
@@ -37,6 +38,7 @@
 //	GET    /v1/jobs/{id}/events NDJSON progress stream
 //	GET    /v1/jobs/{id}/trace  trace export (?format=chrome)
 //	DELETE /v1/jobs/{id}        cancel
+//	POST   /v1/cells            run one shard unit's grid, streamed
 //	GET    /v1/cache/stats      cache counters
 //	GET    /v1/status           full operational snapshot + time series
 //	GET    /metrics             Prometheus text exposition

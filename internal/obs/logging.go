@@ -71,6 +71,7 @@ var knownRoutes = map[string]bool{
 	"/v1/jobs/{id}/result": true,
 	"/v1/jobs/{id}/events": true,
 	"/v1/jobs/{id}/trace":  true,
+	"/v1/cells":            true,
 	"/v1/cache/stats":      true,
 	"/v1/workers":          true,
 	"/v1/status":           true,

@@ -58,6 +58,7 @@ func TestNormalizePath(t *testing.T) {
 		{"/metrics", "/metrics", ""},
 		{"/v1/cache/stats", "/v1/cache/stats", ""},
 		{"/v1/workers", "/v1/workers", ""},
+		{"/v1/cells", "/v1/cells", ""},
 		{"/", "/", ""},                         // root is unknown…
 		{"/admin/../etc/passwd", "other", ""},  // …and scans collapse
 		{"/v1/jobs/not-a-job-id", "other", ""}, // bad IDs don't mint series

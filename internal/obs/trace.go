@@ -18,23 +18,16 @@ import (
 // Distributed job tracing: the third observability pillar next to the
 // metric registry and the structured logs, and like them deliberately
 // dependency-free. A trace is the causal tree of spans behind one job —
-// job → plan → unit[i] attempt[k] → dispatch/exec/validate → merge on
-// the coordinator, with the worker's per-stage spans imported underneath
-// the unit that dispatched them. Spans land in a bounded in-memory
-// flight recorder (ring per job) and are exported as canonical JSON or
-// Chrome trace_event format from GET /v1/jobs/{id}/trace.
+// job → plan → unit[i] attempt[k] → exec/validate → merge on the
+// coordinator, with the worker's per-stage spans, returned inline with
+// each unit's result, imported underneath the unit that ran them. Spans
+// land in a bounded in-memory flight recorder (ring per job) and are
+// exported as canonical JSON or Chrome trace_event format from
+// GET /v1/jobs/{id}/trace.
 //
 // Tracing is strictly observational: whether the recorder is nil
 // (disabled) or recording, job results are byte-identical — the
 // chaostest suite pins that invariant.
-
-// TraceHeader is the HTTP header that propagates trace context from the
-// coordinator to a worker on job submission. Its value is
-// "<trace-id>;<parent-span-id>" (see FormatTraceParent); the worker
-// tags its own spans with the propagated trace ID and parents its job
-// span under the coordinator's span, so the imported worker spans nest
-// in the coordinator's trace.
-const TraceHeader = "X-BD-Trace"
 
 // TraceID derives a job's trace ID. Job IDs are already deterministic
 // content hashes of the normalized spec (32 lowercase hex digits), so
@@ -42,36 +35,6 @@ const TraceHeader = "X-BD-Trace"
 // same trace identity, and the trace can be found from nothing but the
 // job ID.
 func TraceID(jobID string) string { return jobID }
-
-// FormatTraceParent encodes trace context for the TraceHeader value.
-func FormatTraceParent(traceID, spanID string) string {
-	return traceID + ";" + spanID
-}
-
-// ParseTraceParent decodes a TraceHeader value. The trace ID must have
-// job-ID shape and the span ID must be short and printable — anything
-// else is rejected so untrusted header bytes never reach labels, logs
-// or the journal.
-func ParseTraceParent(s string) (traceID, spanID string, ok bool) {
-	i := strings.IndexByte(s, ';')
-	if i < 0 {
-		return "", "", false
-	}
-	traceID, spanID = s[:i], s[i+1:]
-	if !IsJobID(traceID) || spanID == "" || len(spanID) > 64 {
-		return "", "", false
-	}
-	for j := 0; j < len(spanID); j++ {
-		b := spanID[j]
-		switch {
-		case b >= 'a' && b <= 'z', b >= 'A' && b <= 'Z', b >= '0' && b <= '9',
-			b == '-', b == '_', b == '.':
-		default:
-			return "", "", false
-		}
-	}
-	return traceID, spanID, true
-}
 
 // SpanEvent is a point-in-time annotation attached to a span (e.g. a
 // journal-append on the job span).
@@ -471,27 +434,22 @@ func (tc *TraceContext) RecordInterval(parent, name string, start, end time.Time
 	})
 }
 
-// Import merges spans fetched from a worker's recorder into this trace:
-// only spans already tagged with this trace's ID are kept (a worker
-// cache hit serves spans from some older, foreign trace — those are the
-// other trace's history, not this one's), root spans of the imported
-// set are re-parented under parent, and worker/extra attributes are
-// stamped on. Imported spans flow through Sink like locally recorded
-// ones, so they survive coordinator crash-recovery too.
+// Import adopts spans a worker returned inline with a unit's result into
+// this trace: every span is re-tagged with this trace's ID, spans whose
+// parent is not in the set (the worker run's roots) are re-parented under
+// parent, and worker/extra attributes are stamped on. Imported spans flow
+// through Sink like locally recorded ones, so they survive coordinator
+// crash-recovery too.
 func (tc *TraceContext) Import(spans []Span, parent, worker string, attrs map[string]string) {
 	if tc == nil {
 		return
 	}
 	ids := make(map[string]bool, len(spans))
 	for _, sp := range spans {
-		if sp.TraceID == tc.TraceID {
-			ids[sp.ID] = true
-		}
+		ids[sp.ID] = true
 	}
 	for _, sp := range spans {
-		if sp.TraceID != tc.TraceID {
-			continue
-		}
+		sp.TraceID = tc.TraceID
 		if !ids[sp.Parent] {
 			sp.Parent = parent
 		}

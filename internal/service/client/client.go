@@ -1,11 +1,11 @@
 // Package client is the Go client for the bdservd/bdcoord HTTP API: job
-// submission, status polling, NDJSON event streaming and result fetch.
+// submission, status polling, NDJSON event streaming, result fetch and
+// the shard-unit cell runs a coordinator drives its workers with.
 // It is shared by the bdcoord coordinator (which drives bdservd workers
 // through it), the bdservd-backed report mode, and examples/service.
 package client
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -53,19 +53,54 @@ func apiError(resp *http.Response) error {
 	return fmt.Errorf("%s", resp.Status)
 }
 
-func (c *Client) getJSON(ctx context.Context, path string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
+// do sends one request, JSON-encoding body when it is non-nil, and
+// returns the response of a 2xx answer; the caller closes its body. Any
+// other answer is closed here and returned as the daemon's error.
+func (c *Client) do(ctx context.Context, method, path string, body any) (*http.Response, error) {
+	var rd io.Reader
+	if body != nil {
+		data, err := json.Marshal(body)
+		if err != nil {
+			return nil, err
+		}
+		rd = bytes.NewReader(data)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, rd)
 	if err != nil {
-		return err
+		return nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.httpClient().Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode/100 != 2 {
+		defer resp.Body.Close()
+		return nil, apiError(resp)
+	}
+	return resp, nil
+}
+
+// send is do for requests whose answer carries nothing: the body is
+// drained so the connection can be reused.
+func (c *Client) send(ctx context.Context, method, path string, body any) error {
+	resp, err := c.do(ctx, method, path, body)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return apiError(resp)
+	_, err = io.Copy(io.Discard, resp.Body)
+	return err
+}
+
+func (c *Client) getJSON(ctx context.Context, path string, out any) error {
+	resp, err := c.do(ctx, http.MethodGet, path, nil)
+	if err != nil {
+		return err
 	}
+	defer resp.Body.Close()
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
@@ -93,34 +128,11 @@ func (c *Client) Status(ctx context.Context) (service.StatusSnapshot, error) {
 
 // Submit posts a JobRequest and returns the accepted job status.
 func (c *Client) Submit(ctx context.Context, jr service.JobRequest) (service.JobStatus, error) {
-	return c.SubmitTraced(ctx, jr, "")
-}
-
-// SubmitTraced is Submit carrying trace context: traceParent (a
-// formatted obs.FormatTraceParent value, "" for none) is sent as the
-// X-BD-Trace header, so the daemon's spans for this job join the
-// caller's trace — the coordinator→worker propagation hop.
-func (c *Client) SubmitTraced(ctx context.Context, jr service.JobRequest, traceParent string) (service.JobStatus, error) {
-	body, err := json.Marshal(jr)
+	resp, err := c.do(ctx, http.MethodPost, "/v1/jobs", jr)
 	if err != nil {
-		return service.JobStatus{}, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/jobs", bytes.NewReader(body))
-	if err != nil {
-		return service.JobStatus{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if traceParent != "" {
-		req.Header.Set(obs.TraceHeader, traceParent)
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return service.JobStatus{}, err
+		return service.JobStatus{}, fmt.Errorf("client: submit: %w", err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
-		return service.JobStatus{}, fmt.Errorf("client: submit: %w", apiError(resp))
-	}
 	var st service.JobStatus
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		return service.JobStatus{}, err
@@ -133,14 +145,35 @@ func (c *Client) SubmitSpec(ctx context.Context, spec service.JobSpec) (service.
 	return c.Submit(ctx, service.JobRequest{Spec: &spec})
 }
 
-// SubmitSpecTraced is SubmitSpec with propagated trace context.
-func (c *Client) SubmitSpecTraced(ctx context.Context, spec service.JobSpec, traceParent string) (service.JobStatus, error) {
-	return c.SubmitTraced(ctx, service.JobRequest{Spec: &spec}, traceParent)
+// Cells runs one shard unit on the daemon (POST /v1/cells) and returns
+// the stream's final result line; fn sees every line before it —
+// progress and heartbeats — as it arrives. The stream is decoded value
+// by value, so the final line may be of any size. A non-2xx answer, a
+// worker error line or a stream that ends before its result is an error.
+func (c *Client) Cells(ctx context.Context, req service.CellsRequest, fn func(service.CellsLine)) (service.CellsLine, error) {
+	resp, err := c.do(ctx, http.MethodPost, "/v1/cells", req)
+	if err != nil {
+		return service.CellsLine{}, fmt.Errorf("client: cells: %w", err)
+	}
+	defer resp.Body.Close()
+	dec := json.NewDecoder(resp.Body)
+	for {
+		var ln service.CellsLine
+		if err := dec.Decode(&ln); err != nil {
+			return service.CellsLine{}, fmt.Errorf("client: cells: stream ended before the result: %w", err)
+		}
+		switch ln.Type {
+		case "result":
+			return ln, nil
+		case "error":
+			return service.CellsLine{}, fmt.Errorf("client: cells: worker: %s", ln.Error)
+		}
+		fn(ln)
+	}
 }
 
 // Trace fetches a job's trace export (the canonical JSON form of
-// GET /v1/jobs/{id}/trace) — how a coordinator imports a worker's spans
-// into its own trace after a unit completes.
+// GET /v1/jobs/{id}/trace).
 func (c *Client) Trace(ctx context.Context, id string) (obs.TraceExport, error) {
 	var export obs.TraceExport
 	if err := c.getJSON(ctx, "/v1/jobs/"+id+"/trace", &export); err != nil {
@@ -160,36 +193,19 @@ func (c *Client) Job(ctx context.Context, id string) (service.JobStatus, error) 
 
 // Result fetches a completed job's canonical result bytes.
 func (c *Client) Result(ctx context.Context, id string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/jobs/"+id+"/result", nil)
+	resp, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/result", nil)
 	if err != nil {
-		return nil, err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("client: result %s: %w", id, err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("client: result %s: %w", id, apiError(resp))
-	}
 	return io.ReadAll(resp.Body)
 }
 
 // Cancel cancels a queued or running job.
 func (c *Client) Cancel(ctx context.Context, id string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, c.BaseURL+"/v1/jobs/"+id, nil)
-	if err != nil {
-		return err
+	if err := c.send(ctx, http.MethodDelete, "/v1/jobs/"+id, nil); err != nil {
+		return fmt.Errorf("client: cancel %s: %w", id, err)
 	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("client: cancel %s: %w", id, apiError(resp))
-	}
-	io.Copy(io.Discard, resp.Body)
 	return nil
 }
 
@@ -208,24 +224,9 @@ type WorkerRegistration struct {
 // under a heartbeat lease (ttlSeconds 0 = coordinator default). Calling
 // it again before the lease expires renews it — this is the heartbeat.
 func (c *Client) RegisterWorker(ctx context.Context, workerURL string, ttlSeconds float64) error {
-	body, err := json.Marshal(WorkerRegistration{URL: workerURL, TTLSeconds: ttlSeconds})
-	if err != nil {
-		return err
+	if err := c.send(ctx, http.MethodPost, "/v1/workers", WorkerRegistration{URL: workerURL, TTLSeconds: ttlSeconds}); err != nil {
+		return fmt.Errorf("client: register worker: %w", err)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/workers", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("client: register worker: %w", apiError(resp))
-	}
-	io.Copy(io.Discard, resp.Body)
 	return nil
 }
 
@@ -233,71 +234,37 @@ func (c *Client) RegisterWorker(ctx context.Context, workerURL string, ttlSecond
 // c.BaseURL — the orderly-leave half of registration, called by a worker
 // shutting down.
 func (c *Client) DeregisterWorker(ctx context.Context, workerURL string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete,
-		c.BaseURL+"/v1/workers?url="+url.QueryEscape(workerURL), nil)
-	if err != nil {
-		return err
+	if err := c.send(ctx, http.MethodDelete, "/v1/workers?url="+url.QueryEscape(workerURL), nil); err != nil {
+		return fmt.Errorf("client: deregister worker: %w", err)
 	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("client: deregister worker: %w", apiError(resp))
-	}
-	io.Copy(io.Discard, resp.Body)
 	return nil
 }
 
 // Events streams a job's NDJSON progress events, invoking fn for each.
 // The stream replays from the first event and ends at the job's terminal
 // event; fn returning an error stops the stream and returns that error.
-// A connection drop before a terminal event is an error — callers
-// (notably the shard coordinator) treat it as worker failure.
+// A connection drop before a terminal event is an error.
 func (c *Client) Events(ctx context.Context, id string, fn func(service.Event) error) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/jobs/"+id+"/events", nil)
+	resp, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/events", nil)
 	if err != nil {
-		return err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return err
+		return fmt.Errorf("client: events %s: %w", id, err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("client: events %s: %w", id, apiError(resp))
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	terminal := false
-	for sc.Scan() {
-		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
-			continue
-		}
+	dec := json.NewDecoder(resp.Body)
+	for {
 		var ev service.Event
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			return fmt.Errorf("client: events %s: decoding: %w", id, err)
+		if err := dec.Decode(&ev); err == io.EOF {
+			return fmt.Errorf("client: events %s: stream ended before a terminal event", id)
+		} else if err != nil {
+			return fmt.Errorf("client: events %s: %w", id, err)
 		}
 		if err := fn(ev); err != nil {
 			return err
 		}
-		switch ev.Type {
-		case "done", "error":
-			terminal = true
-		case "state":
-			if ev.State == service.StateCanceled {
-				terminal = true
-			}
+		if ev.Type == "done" || ev.Type == "error" || (ev.Type == "state" && ev.State == service.StateCanceled) {
+			return nil
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("client: events %s: stream: %w", id, err)
-	}
-	if !terminal {
-		return fmt.Errorf("client: events %s: stream ended before a terminal event", id)
-	}
-	return nil
 }
 
 // WaitDone follows an existing job's event stream to completion and

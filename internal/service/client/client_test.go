@@ -330,3 +330,89 @@ func TestStatusNon2xx(t *testing.T) {
 		t.Fatalf("Status error = %v, want daemon message", err)
 	}
 }
+
+// cellsServer answers POST /v1/cells with the given lines, after checking
+// the request carries the spec and heartbeat it was sent.
+func cellsServer(t *testing.T, lines ...service.CellsLine) *httptest.Server {
+	t.Helper()
+	return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req service.CellsRequest
+		if r.Method != http.MethodPost || r.URL.Path != "/v1/cells" {
+			t.Errorf("unexpected %s %s", r.Method, r.URL.Path)
+		}
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Spec.Mode != service.ModeObservations || req.Heartbeat != time.Second {
+			t.Errorf("request body decoded to %+v (%v)", req, err)
+		}
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		enc := json.NewEncoder(w)
+		for _, ln := range lines {
+			enc.Encode(ln)
+		}
+	}))
+}
+
+func cellsRequest() service.CellsRequest {
+	return service.CellsRequest{Spec: service.JobSpec{Mode: service.ModeObservations}, Heartbeat: time.Second}
+}
+
+// TestCellsLargeFinalRecord: the stream is decoded value by value, so a
+// final record far beyond any line buffer (here over 1 MiB) arrives
+// whole, after the progress and heartbeat lines reach the callback.
+func TestCellsLargeFinalRecord(t *testing.T) {
+	big := `{"labels":["` + strings.Repeat("x", 3<<20/2) + `"]}`
+	srv := cellsServer(t,
+		service.CellsLine{Type: "progress"},
+		service.CellsLine{Type: "heartbeat"},
+		service.CellsLine{Type: "progress", Done: 1, Total: 1},
+		service.CellsLine{Type: "result", Observations: json.RawMessage(big)},
+	)
+	defer srv.Close()
+
+	var seen []string
+	res, err := New(srv.URL).Cells(context.Background(), cellsRequest(), func(ln service.CellsLine) {
+		seen = append(seen, ln.Type)
+	})
+	if err != nil {
+		t.Fatalf("Cells: %v", err)
+	}
+	if string(res.Observations) != big {
+		t.Errorf("final record observations: %d bytes, want %d", len(res.Observations), len(big))
+	}
+	if got := strings.Join(seen, ","); got != "progress,heartbeat,progress" {
+		t.Errorf("callback saw %s, want progress,heartbeat,progress", got)
+	}
+}
+
+// TestCellsEOFBeforeResult: a stream that ends cleanly before its final
+// record is an error — the coordinator treats it as worker failure — and
+// so is a worker's error line.
+func TestCellsEOFBeforeResult(t *testing.T) {
+	srv := cellsServer(t, service.CellsLine{Type: "progress"}, service.CellsLine{Type: "progress", Done: 1, Total: 2})
+	defer srv.Close()
+	seen := 0
+	_, err := New(srv.URL).Cells(context.Background(), cellsRequest(), func(service.CellsLine) { seen++ })
+	if err == nil || !strings.Contains(err.Error(), "before the result") {
+		t.Fatalf("EOF before result: err = %v, want stream-ended error", err)
+	}
+	if seen != 2 {
+		t.Errorf("callback saw %d lines before the EOF, want 2", seen)
+	}
+
+	failed := cellsServer(t, service.CellsLine{Type: "progress"}, service.CellsLine{Type: "error", Error: "grid exploded"})
+	defer failed.Close()
+	if _, err := New(failed.URL).Cells(context.Background(), cellsRequest(), func(service.CellsLine) {}); err == nil || !strings.Contains(err.Error(), "grid exploded") {
+		t.Fatalf("error line: err = %v, want the worker's message", err)
+	}
+}
+
+// TestCellsNon2xx: a refused run surfaces the daemon's error message.
+func TestCellsNon2xx(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, `{"error":"service: draining for shutdown"}`, http.StatusServiceUnavailable)
+	}))
+	defer srv.Close()
+	_, err := New(srv.URL).Cells(context.Background(), cellsRequest(), func(service.CellsLine) {})
+	if err == nil || !strings.Contains(err.Error(), "draining for shutdown") || !strings.Contains(err.Error(), "503") {
+		t.Fatalf("non-2xx: err = %v, want status and daemon message", err)
+	}
+}

@@ -132,6 +132,7 @@ func (r *JobRequest) ToSpec() (JobSpec, error) {
 //	GET    /v1/jobs/{id}/events NDJSON progress stream (replay + live)
 //	GET    /v1/jobs/{id}/trace  trace export (?format=chrome for trace_event)
 //	DELETE /v1/jobs/{id}        cancel
+//	POST   /v1/cells           run one shard unit's grid, streamed (see cells.go)
 //	GET    /v1/cache/stats     result-cache counters
 //	GET    /v1/status          full operational snapshot (see StatusSnapshot)
 //	GET    /metrics            Prometheus text exposition
@@ -172,9 +173,7 @@ func NewHandler(m *Manager) http.Handler {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		// X-BD-Trace (when a coordinator set one) joins this job's spans
-		// to the caller's trace; SubmitTraced validates before trusting.
-		st, err := m.SubmitTraced(spec, r.Header.Get(obs.TraceHeader))
+		st, err := m.Submit(spec)
 		switch {
 		case errors.Is(err, ErrQueueFull), errors.Is(err, ErrDraining):
 			writeError(w, http.StatusServiceUnavailable, err)
@@ -186,6 +185,7 @@ func NewHandler(m *Manager) http.Handler {
 			writeJSON(w, http.StatusAccepted, st)
 		}
 	})
+	mux.HandleFunc("POST /v1/cells", m.serveCells)
 	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, m.List())
 	})

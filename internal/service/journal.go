@@ -39,9 +39,8 @@ type journalRecord struct {
 	TS    time.Time `json:"ts"`
 	Type  string    `json:"type"` // submit | start | plan | unit_done | span | done | fail | cancel
 	ID    string    `json:"id"`
-	Spec  *JobSpec  `json:"spec,omitempty"`  // on submit
-	Trace string    `json:"trace,omitempty"` // on submit: propagated X-BD-Trace value
-	Hash  string    `json:"hash,omitempty"`  // on done
+	Spec  *JobSpec  `json:"spec,omitempty"` // on submit
+	Hash  string    `json:"hash,omitempty"` // on done
 	Err   string    `json:"error,omitempty"`
 	Parts int       `json:"parts,omitempty"` // on plan: planner part count
 	Unit  *int      `json:"unit,omitempty"`  // on unit_done: unit index
@@ -64,7 +63,6 @@ type replayedJob struct {
 	finished  time.Time
 	planParts int
 	unitsDone map[int]string // unit index → sub-result store key
-	trace     string         // propagated X-BD-Trace value from submit
 	spans     []obs.Span     // journaled trace spans (non-terminal jobs only)
 }
 
@@ -266,9 +264,9 @@ func replayJournal(path string) ([]replayedJob, error) {
 						break
 					}
 				}
-				*old = replayedJob{id: rec.ID, spec: *rec.Spec, created: rec.TS, trace: rec.Trace}
+				*old = replayedJob{id: rec.ID, spec: *rec.Spec, created: rec.TS}
 			} else {
-				byID[rec.ID] = &replayedJob{id: rec.ID, spec: *rec.Spec, created: rec.TS, trace: rec.Trace}
+				byID[rec.ID] = &replayedJob{id: rec.ID, spec: *rec.Spec, created: rec.TS}
 			}
 			order = append(order, rec.ID)
 		case "start":
@@ -345,7 +343,7 @@ func compactJournal(path string, jobs []replayedJob) error {
 		for i := range jobs {
 			j := &jobs[i]
 			spec := j.spec
-			if err := enc.Encode(journalRecord{TS: j.created, Type: "submit", ID: j.id, Spec: &spec, Trace: j.trace}); err != nil {
+			if err := enc.Encode(journalRecord{TS: j.created, Type: "submit", ID: j.id, Spec: &spec}); err != nil {
 				return err
 			}
 			if !j.started.IsZero() {

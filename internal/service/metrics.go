@@ -97,8 +97,8 @@ func (mx *svcMetrics) registerGauges(reg *obs.Registry, m *Manager) {
 	reg.Gauge("bd_executor_workers",
 		"Size of the executor pool.").Set(float64(m.cfg.Workers))
 	reg.GaugeFunc("bd_executor_busy",
-		"Jobs currently executing (executor utilization = busy / workers).",
-		func() float64 { return float64(m.stateCount(StateRunning)) })
+		"Executor slots in use by jobs and cell runs (utilization = busy / workers).",
+		func() float64 { return float64(len(m.slots)) })
 	reg.GaugeFunc("bd_cache_entries",
 		"Entries currently held by the in-memory LRU tier.",
 		func() float64 { return float64(m.cache.Entries()) })

@@ -98,14 +98,11 @@ type job struct {
 	planParts int
 	unitsDone map[int]string // unit index → sub-result store key
 
-	// Tracing identity, immutable once the job is visible: the trace ID
-	// (the job ID, or one propagated from an upstream coordinator via
-	// X-BD-Trace), the upstream parent span, and the pre-allocated ID of
-	// this job's root span — children reference it before the root span
-	// itself is sealed. rootSpan (under mu) is the live handle while the
-	// job runs, so journal appends can annotate it.
-	traceID    string
-	parentSpan string
+	// Tracing identity: the trace ID is obs.TraceID(id), and rootSpanID
+	// the pre-allocated ID of this job's root span ("" when tracing is
+	// off) — children reference it before the root span itself is sealed.
+	// rootSpan (under mu) is the live handle while the job runs, so
+	// journal appends can annotate it.
 	rootSpanID string
 	rootSpan   *obs.SpanHandle
 
@@ -285,6 +282,8 @@ type Manager struct {
 	startedAt time.Time
 
 	draining atomic.Bool
+	cellRuns atomic.Int64  // admitted POST /v1/cells runs not yet over
+	slots    chan struct{} // the executor bound, shared by jobs and cell runs
 
 	jmu     sync.Mutex // serializes journal appends
 	journal *journal
@@ -347,6 +346,7 @@ func New(cfg Config) (*Manager, error) {
 		startedAt: time.Now(),
 		jobs:      make(map[string]*job),
 		queue:     make(chan *job, cfg.QueueDepth),
+		slots:     make(chan struct{}, cfg.Workers),
 	}
 	mx.registerGauges(reg, m)
 	if cfg.TraceBuffer >= 0 {
@@ -386,7 +386,7 @@ func New(cfg Config) (*Manager, error) {
 				j := newJob(m.root, r.id, r.spec)
 				j.created = r.created
 				j.planParts, j.unitsDone = r.planParts, r.unitsDone
-				m.initTrace(j, r.trace)
+				j.rootSpanID = m.tracer.NewSpanID()
 				m.tracer.Replay(r.id, r.spans)
 				j.emit(Event{Type: "state", State: StateQueued})
 				m.jobs[r.id] = j
@@ -443,12 +443,12 @@ func (m *Manager) Close() {
 	m.jmu.Unlock()
 }
 
-// Drain begins a graceful shutdown: new submissions are refused with
-// ErrDraining while queued and running jobs continue to completion. It
-// returns true once no live jobs remain, or false when the timeout
-// elapses first (timeout <= 0 checks exactly once). Call Close afterwards
-// either way — jobs still live after a failed drain are cut short there
-// and re-adopted on restart.
+// Drain begins a graceful shutdown: new submissions and cell runs are
+// refused with ErrDraining while queued and running jobs, and cell runs
+// in flight, continue to completion. It returns true once none remain,
+// or false when the timeout elapses first (timeout <= 0 checks once).
+// Call Close afterwards either way — jobs still live after a failed
+// drain are cut short there and re-adopted on restart.
 func (m *Manager) Drain(timeout time.Duration) bool {
 	m.draining.Store(true)
 	deadline := time.Now().Add(timeout)
@@ -464,6 +464,9 @@ func (m *Manager) Drain(timeout time.Duration) bool {
 }
 
 func (m *Manager) anyLive() bool {
+	if m.cellRuns.Load() > 0 {
+		return true
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, j := range m.jobs {
@@ -533,23 +536,6 @@ func newJob(ctx context.Context, id string, spec JobSpec) *job {
 	}
 }
 
-// initTrace assigns a job's tracing identity: the trace ID and upstream
-// parent span from the propagated X-BD-Trace value when one is present
-// and valid, otherwise the job's own deterministic trace ID — plus a
-// pre-allocated root span ID that children (and the propagation header)
-// can reference before the root span itself is sealed. No-op when
-// tracing is disabled.
-func (m *Manager) initTrace(j *job, traceParent string) {
-	if !m.tracer.Enabled() {
-		return
-	}
-	j.traceID = obs.TraceID(j.id)
-	if tid, parent, ok := obs.ParseTraceParent(traceParent); ok {
-		j.traceID, j.parentSpan = tid, parent
-	}
-	j.rootSpanID = m.tracer.NewSpanID()
-}
-
 // Trace exports a job's trace from the flight recorder. ok is false for
 // unknown jobs, evicted traces, or when tracing is disabled.
 func (m *Manager) Trace(id string) (obs.TraceExport, bool) {
@@ -565,14 +551,6 @@ func (m *Manager) Trace(id string) (obs.TraceExport, bool) {
 // m.mu, so concurrent submissions of distinct jobs never serialize behind
 // disk I/O; the record map is re-checked under the lock afterwards.
 func (m *Manager) Submit(spec JobSpec) (JobStatus, error) {
-	return m.SubmitTraced(spec, "")
-}
-
-// SubmitTraced is Submit with an upstream trace context — the raw
-// X-BD-Trace header value ("" for none). When valid, the job's spans
-// join the caller's trace (parented under the caller's span) instead of
-// rooting a fresh one; anything malformed is ignored, never trusted.
-func (m *Manager) SubmitTraced(spec JobSpec, traceParent string) (JobStatus, error) {
 	if m.draining.Load() {
 		m.mx.jobsRejected.With("draining").Inc()
 		return JobStatus{}, ErrDraining
@@ -624,13 +602,8 @@ func (m *Manager) SubmitTraced(spec JobSpec, traceParent string) (JobStatus, err
 		probeStart := time.Now()
 		_, hash, hit := m.cache.Get(id)
 		if attempt == 0 && m.tracer.Enabled() {
-			tid := obs.TraceID(id)
-			parent := ""
-			if t, p, ok := obs.ParseTraceParent(traceParent); ok {
-				tid, parent = t, p
-			}
 			probeSpan = &obs.Span{
-				TraceID: tid, Parent: parent, Name: "cache-probe",
+				TraceID: obs.TraceID(id), Name: "cache-probe",
 				Start: probeStart, End: time.Now(),
 				Attrs: map[string]string{"status": "ok", "hit": fmt.Sprintf("%t", hit)},
 			}
@@ -720,7 +693,7 @@ func (m *Manager) SubmitTraced(spec JobSpec, traceParent string) (JobStatus, err
 			return JobStatus{}, ErrQueueFull
 		}
 		j := newJob(m.root, id, norm)
-		m.initTrace(j, traceParent)
+		j.rootSpanID = m.tracer.NewSpanID()
 		// Record and emit "queued" before the channel send: a free worker
 		// can pick the job up (and emit "running") the instant it lands
 		// in the queue, and the stream must start with the queued event.
@@ -730,13 +703,7 @@ func (m *Manager) SubmitTraced(spec JobSpec, traceParent string) (JobStatus, err
 		m.order = append(m.order, id)
 		m.evictLocked()
 		j.emit(Event{Type: "state", State: StateQueued})
-		trace := ""
-		if j.parentSpan != "" {
-			// Persist the propagated trace identity so a re-adopted job's
-			// new spans still join the upstream trace after a crash.
-			trace = obs.FormatTraceParent(j.traceID, j.parentSpan)
-		}
-		m.journalAppend(journalRecord{TS: j.created, Type: "submit", ID: id, Spec: &norm, Trace: trace})
+		m.journalAppend(journalRecord{TS: j.created, Type: "submit", ID: id, Spec: &norm})
 		m.queue <- j
 		st := j.status()
 		m.mu.Unlock()
@@ -879,7 +846,8 @@ func (m *Manager) job(id string) (*job, bool) {
 	return j, ok
 }
 
-// worker is one executor: it drains the queue until the manager closes.
+// worker is one executor: it drains the queue until the manager closes,
+// running each job once a slot of the executor bound is free.
 func (m *Manager) worker() {
 	defer m.wg.Done()
 	for {
@@ -887,7 +855,13 @@ func (m *Manager) worker() {
 		case <-m.root.Done():
 			return
 		case j := <-m.queue:
+			select {
+			case <-m.root.Done():
+				return
+			case m.slots <- struct{}{}:
+			}
 			m.runJob(j)
+			<-m.slots
 		}
 	}
 }
@@ -907,11 +881,11 @@ func (m *Manager) runJob(j *job) {
 	j.mu.Unlock()
 	// Open the job's root span under its pre-allocated ID and backfill the
 	// time spent queued as a queue-wait child. Both no-op when disabled.
-	rootSpan := m.tracer.StartSpanID(j.id, j.traceID, j.parentSpan, "job", j.rootSpanID)
+	rootSpan := m.tracer.StartSpanID(j.id, obs.TraceID(j.id), "", "job", j.rootSpanID)
 	rootSpan.SetAttr("job", j.id)
 	if rootSpan != nil {
 		m.tracer.Record(j.id, obs.Span{
-			TraceID: j.traceID, Parent: j.rootSpanID, Name: "queue-wait",
+			TraceID: obs.TraceID(j.id), Parent: j.rootSpanID, Name: "queue-wait",
 			Start: created, End: started,
 			Attrs: map[string]string{"status": "ok"},
 		})
@@ -1029,10 +1003,6 @@ func (m *Manager) maybeCompactJournal() {
 				unitsDone[u] = k
 			}
 		}
-		trace := ""
-		if j.parentSpan != "" {
-			trace = obs.FormatTraceParent(j.traceID, j.parentSpan)
-		}
 		var spans []obs.Span
 		if !state.terminal() && m.tracer.Enabled() {
 			// In-flight jobs keep their spans across the rewrite — the
@@ -1048,7 +1018,7 @@ func (m *Manager) maybeCompactJournal() {
 			hash: j.resultHash, errMsg: j.errMsg,
 			created: j.created, started: j.started, finished: j.finished,
 			planParts: j.planParts, unitsDone: unitsDone,
-			trace: trace, spans: spans,
+			spans: spans,
 		})
 		j.mu.Unlock()
 	}
@@ -1105,26 +1075,18 @@ func (m *Manager) execute(j *job) (string, error) {
 	if exec == nil {
 		exec = m.executeLocal
 	}
-	// The timer wraps the progress chain: stage transitions flow through
-	// it for both the local pipeline and sharded executors, feeding the
-	// per-stage duration histogram.
-	timer := core.NewStageTimer(progress, func(stage core.Stage, seconds float64) {
-		m.mx.stageDuration.With(string(stage)).Observe(seconds)
-	})
 	// Sharded executors pick the unit-level crash-recovery capability off
 	// the context (see unitprogress.go); the local pipeline ignores it.
 	ctx := context.WithValue(j.ctx, unitProgressKey{}, &jobUnitProgress{m: m, j: j})
 	// Tracing capability: stage transitions become spans under the job's
 	// root span, and sharded executors pick the context off ctx to emit
 	// plan/unit/merge spans into the same trace.
+	var tc *obs.TraceContext
 	if m.tracer.Enabled() {
-		tc := &obs.TraceContext{Rec: m.tracer, JobID: j.id, TraceID: j.traceID, Root: j.rootSpanID}
-		timer.OnSpan(func(stage core.Stage, start, end time.Time) {
-			tc.RecordInterval("", string(stage), start, end,
-				map[string]string{"kind": "stage", "status": "ok"})
-		})
+		tc = &obs.TraceContext{Rec: m.tracer, JobID: j.id, TraceID: obs.TraceID(j.id), Root: j.rootSpanID}
 		ctx = obs.ContextWithTrace(ctx, tc)
 	}
+	timer := m.newStageTimer(progress, tc)
 	data, err := exec(ctx, j.spec, timer.Progress)
 	timer.Finish()
 	if err != nil {
@@ -1135,6 +1097,23 @@ func (m *Manager) execute(j *job) (string, error) {
 		return "", fmt.Errorf("service: caching result: %w", err)
 	}
 	return hash, nil
+}
+
+// newStageTimer wraps next in a stage timer: closed stages feed the
+// per-stage duration histogram for the local pipeline, sharded executors
+// and cell runs alike, and, when tc is tracing, become kind=stage spans
+// under tc's root span.
+func (m *Manager) newStageTimer(next core.Progress, tc *obs.TraceContext) *core.StageTimer {
+	timer := core.NewStageTimer(next, func(stage core.Stage, seconds float64) {
+		m.mx.stageDuration.With(string(stage)).Observe(seconds)
+	})
+	if tc != nil {
+		timer.OnSpan(func(stage core.Stage, start, end time.Time) {
+			tc.RecordInterval("", string(stage), start, end,
+				map[string]string{"kind": "stage", "status": "ok"})
+		})
+	}
+	return timer
 }
 
 // countingCellCache wraps the manager's cell store for one job run,

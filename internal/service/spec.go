@@ -233,6 +233,13 @@ func (s JobSpec) ID() (string, error) {
 	return n.id()
 }
 
+// NormalizedID is ID for a spec already in normalized form — the output
+// of Normalized, or a spec derived from one without leaving that form.
+// It hashes the spec as is, skipping the re-validation (a suite
+// synthesis) that ID pays; on a spec not in normalized form it returns
+// some other ID than ID does.
+func (s JobSpec) NormalizedID() (string, error) { return s.id() }
+
 // id hashes an already-normalized spec. encoding/json emits struct fields
 // in declaration order with deterministic number formatting, so equal
 // normalized specs always produce identical bytes.

@@ -121,7 +121,7 @@ func (m *Manager) Status() StatusSnapshot {
 			Depth:    st.QueueDepth,
 			Capacity: cap(m.queue),
 			Workers:  m.cfg.Workers,
-			Busy:     st.Running,
+			Busy:     len(m.slots),
 		},
 		Jobs: JobsByState{
 			Queued: st.Queued, Running: st.Running,

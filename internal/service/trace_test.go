@@ -83,59 +83,6 @@ func TestTracedJobSpansAndDeterminism(t *testing.T) {
 	}
 }
 
-// TestSubmitTracedJoinsUpstreamTrace pins the X-BD-Trace contract: a
-// valid header re-roots the job's spans under the caller's trace ID and
-// parent span; a malformed one is ignored and the job roots its own
-// trace.
-func TestSubmitTracedJoinsUpstreamTrace(t *testing.T) {
-	upTrace := strings.Repeat("ab", 16) // well-formed 32-hex trace ID
-	const upSpan = "parent-span-1"
-
-	m := newTestManager(t, Config{Execute: fakeExec(0), TraceBuffer: 4096})
-	st, err := m.SubmitTraced(tinySpec(), obs.FormatTraceParent(upTrace, upSpan))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fin := waitTerminal(t, m, st.ID, 30*time.Second); fin.State != StateDone {
-		t.Fatalf("job finished %s: %s", fin.State, fin.Error)
-	}
-	export, ok := m.Trace(st.ID)
-	if !ok {
-		t.Fatal("no trace export")
-	}
-	if export.TraceID != upTrace {
-		t.Fatalf("trace ID %q, want upstream %q", export.TraceID, upTrace)
-	}
-	rooted := false
-	for _, sp := range export.Spans {
-		if sp.TraceID != upTrace {
-			t.Fatalf("span %s kept trace ID %q, want upstream %q", sp.Name, sp.TraceID, upTrace)
-		}
-		if sp.Name == "job" && sp.Parent == upSpan {
-			rooted = true
-		}
-	}
-	if !rooted {
-		t.Error("job root span is not parented under the upstream span")
-	}
-
-	m2 := newTestManager(t, Config{Execute: fakeExec(0), TraceBuffer: 4096})
-	st2, err := m2.SubmitTraced(tinySpec(), "not a trace parent")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fin := waitTerminal(t, m2, st2.ID, 30*time.Second); fin.State != StateDone {
-		t.Fatalf("job finished %s: %s", fin.State, fin.Error)
-	}
-	export2, ok := m2.Trace(st2.ID)
-	if !ok {
-		t.Fatal("no trace export")
-	}
-	if export2.TraceID != st2.ID {
-		t.Fatalf("malformed header: trace ID %q, want the job's own %q", export2.TraceID, st2.ID)
-	}
-}
-
 // TestTraceHTTPEndpoint exercises GET /v1/jobs/{id}/trace in both
 // formats, plus its 404s for unknown jobs and disabled tracing.
 func TestTraceHTTPEndpoint(t *testing.T) {

@@ -237,8 +237,8 @@ func TestChaosLatency(t *testing.T) {
 	assertIdentical(t, "latency", wantHash, wantBytes, gotHash, gotBytes)
 }
 
-// TestChaosMidStreamDisconnect: the first two event streams on one worker
-// die after a single line; the re-queued units must land elsewhere (or
+// TestChaosMidStreamDisconnect: the first two unit streams on one worker
+// die after one and two lines; the re-queued units must land elsewhere (or
 // retry clean) with the result intact.
 func TestChaosMidStreamDisconnect(t *testing.T) {
 	spec := chaosSpec([]string{"H-Sort", "S-Sort", "H-Grep"}, 2, 1, 1500, 8, false)
@@ -251,8 +251,8 @@ func TestChaosMidStreamDisconnect(t *testing.T) {
 	assertIdentical(t, "mid-stream disconnect", wantHash, wantBytes, gotHash, gotBytes)
 }
 
-// TestChaosWrongShape: every corrupt kind is injected as a worker's first
-// result responses; unit-level validation must reject each and the job
+// TestChaosWrongShape: every corrupt kind is injected into a worker's
+// first two unit results; unit-level validation must reject each and the job
 // must still converge to the golden bytes.
 func TestChaosWrongShape(t *testing.T) {
 	spec := chaosSpec([]string{"H-Sort", "S-Sort", "H-Grep", "S-Grep"}, 2, 1, 1500, 8, false)
@@ -265,6 +265,9 @@ func TestChaosWrongShape(t *testing.T) {
 			good := newProxy(t, startWorker(t).url, Script{})
 			gotHash, gotBytes := runChaotic(t, spec, []*Proxy{bad, good}, 3)
 			assertIdentical(t, string(kind), wantHash, wantBytes, gotHash, gotBytes)
+			if n := bad.Corrupted(); n != 2 {
+				t.Errorf("%d corrupt results reached the coordinator, want 2", n)
+			}
 		})
 	}
 }
@@ -308,6 +311,9 @@ func TestChaosCustomWorkloads(t *testing.T) {
 		t.Fatal("custom chaotic job has no result bytes")
 	}
 	assertIdentical(t, "custom workloads under faults", wantHash, wantBytes, fin.ResultHash, data)
+	if n := flaky.Corrupted(); n != 1 {
+		t.Errorf("%d corrupt results reached the coordinator, want 1", n)
+	}
 
 	again, err := coord.Submit(spec)
 	if err != nil {
@@ -325,7 +331,7 @@ func TestChaosCrashRestart(t *testing.T) {
 	spec := chaosSpec([]string{"H-Sort", "S-Sort", "H-Grep", "S-Grep"}, 2, 1, 2500, 8, false)
 	wantHash, wantBytes := golden(t, spec)
 	crashy := newProxy(t, startWorker(t).url, Script{
-		CrashAfterRequests: 4,
+		CrashAfterRequests: 2,
 		RestartAfter:       300 * time.Millisecond,
 	})
 	steady := newProxy(t, startWorker(t).url, Script{})
@@ -340,7 +346,7 @@ func TestChaosCrashFreshWorker(t *testing.T) {
 	spec := chaosSpec([]string{"H-Sort", "S-Sort", "H-Grep", "S-Grep"}, 2, 1, 2500, 8, false)
 	wantHash, wantBytes := golden(t, spec)
 	crashy := newProxy(t, startWorker(t).url, Script{
-		CrashAfterRequests: 4,
+		CrashAfterRequests: 2,
 		RestartAfter:       300 * time.Millisecond,
 	})
 	crashy.OnRestart = func() string { return startWorker(t).url }
@@ -444,7 +450,7 @@ func randomScript(rng *rand.Rand, workers int) Script {
 		s.ResultFaults = append(s.ResultFaults, kinds[rng.Intn(len(kinds))])
 	}
 	if rng.Intn(3) == 0 {
-		s.CrashAfterRequests = 3 + rng.Intn(10)
+		s.CrashAfterRequests = 1 + rng.Intn(3)
 		s.RestartAfter = time.Duration(100+rng.Intn(200)) * time.Millisecond
 		if workers == 1 {
 			s.RestartAfter = 100 * time.Millisecond

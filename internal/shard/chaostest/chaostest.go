@@ -1,7 +1,8 @@
 // Package chaostest is the in-process fault-injection harness for the
 // shard coordinator: a reverse proxy wrapped around one bdservd worker
-// that can inject request latency, cut NDJSON event streams mid-flight,
-// corrupt result bodies into wrong-shape responses, and crash (sever the
+// that can inject request latency, cut NDJSON unit streams mid-flight,
+// corrupt a unit's returned observations into wrong-shape results, and
+// crash (sever the
 // network, optionally swapping in a brand-new worker) and restart on a
 // deterministic script. The coordinator talks to the proxy's URL exactly
 // as it would to a real worker, so every injected fault exercises the
@@ -12,6 +13,7 @@ package chaostest
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -22,10 +24,11 @@ import (
 	"time"
 
 	"repro/internal/benchio"
+	"repro/internal/service"
 )
 
-// Corrupt selects how a /result body is mangled into a wrong-shape
-// response.
+// Corrupt selects how the observations of a unit's final stream record
+// are mangled into a wrong-shape result.
 type Corrupt string
 
 const (
@@ -40,12 +43,13 @@ const (
 	// CorruptNodeOffset shifts the reported node offset by one — cells
 	// that would land on the wrong grid columns if merged.
 	CorruptNodeOffset Corrupt = "node-offset"
-	// CorruptGarbage replaces the body with non-JSON bytes.
+	// CorruptGarbage replaces the observations with non-JSON bytes.
 	CorruptGarbage Corrupt = "garbage"
 )
 
-// StreamFault cuts one /events response after forwarding CutAfterLines
-// NDJSON lines — a mid-stream disconnect with no terminal event.
+// StreamFault cuts one /v1/cells response after forwarding CutAfterLines
+// NDJSON lines — a mid-stream disconnect, before the final record unless
+// the stream is shorter than the cut.
 type StreamFault struct {
 	CutAfterLines int
 }
@@ -57,12 +61,16 @@ type StreamFault struct {
 type Script struct {
 	// Latency is added to every proxied request.
 	Latency time.Duration
-	// StreamFaults are consumed by successive /events requests.
+	// StreamFaults are consumed by successive /v1/cells requests.
 	StreamFaults []StreamFault
-	// ResultFaults are consumed by successive /result requests.
+	// ResultFaults are consumed by successive /v1/cells final records as
+	// they are forwarded; each corrupts that record's observations. A
+	// stream cut before its final record consumes none.
 	ResultFaults []Corrupt
 	// CrashAfterRequests, when positive, severs the proxy's network
-	// (listener and all connections) when the Nth request arrives.
+	// (listener and all connections) when the Nth unit request (POST
+	// /v1/cells) arrives. Health probes do not count, so the crash lands
+	// on a unit whatever the probe timing.
 	CrashAfterRequests int
 	// RestartAfter is how long a scripted crash lasts before the proxy
 	// re-listens on the same address.
@@ -79,11 +87,12 @@ type Proxy struct {
 	addr      string
 	srv       *http.Server
 	script    Script
-	requests  int
+	units     int // unit requests seen
 	streamIdx int
 	resultIdx int
+	corrupted int // corrupt final records forwarded
 	closed    bool
-	submitted []string // worker job IDs of accepted POST /v1/jobs
+	submitted []string // spec IDs of accepted POST /v1/cells bodies
 
 	// OnRestart, when set, is invoked before a scripted restart and
 	// returns the target for the revived proxy — e.g. the URL of a
@@ -122,7 +131,7 @@ func (p *Proxy) serveOn(ln net.Listener) {
 }
 
 // Crash severs the proxy's network presence: the listener closes and
-// every active connection — including event streams — is torn down. The
+// every active connection — including unit streams — is torn down. The
 // backing worker keeps running; only the network dies, exactly like
 // worker.kill in the coordinator tests but reversible via Restart.
 func (p *Proxy) Crash() {
@@ -162,15 +171,35 @@ func (p *Proxy) Restart() error {
 	return nil
 }
 
-// SubmittedIDs returns the worker-side job IDs of every accepted POST
-// /v1/jobs that passed through the proxy, in arrival order (duplicates
-// included). Unit job IDs are content-addressed, so recovery tests use
-// this to assert a restarted coordinator never re-submits a unit it
-// already journaled as done.
+// SubmittedIDs returns the content-addressed service.JobSpec ID of every
+// POST /v1/cells body the worker accepted through the proxy, in arrival
+// order (duplicates included). A unit's spec ID is its key in the
+// coordinator's journal, so recovery tests use this to assert a restarted
+// coordinator never re-sends a unit it already journaled as done.
 func (p *Proxy) SubmittedIDs() []string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return append([]string(nil), p.submitted...)
+}
+
+// Corrupted returns how many corrupt final records the proxy forwarded
+// in full, so tests can prove their ResultFaults reached the coordinator.
+func (p *Proxy) Corrupted() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.corrupted
+}
+
+// takeCorrupt consumes the next ResultFault, if any, for a final record
+// about to be forwarded.
+func (p *Proxy) takeCorrupt() Corrupt {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.resultIdx >= len(p.script.ResultFaults) {
+		return CorruptNone
+	}
+	p.resultIdx++
+	return p.script.ResultFaults[p.resultIdx-1]
 }
 
 // SetTarget repoints the proxy at a different worker (used with
@@ -193,32 +222,31 @@ func (p *Proxy) Close() {
 	}
 }
 
-// plan consumes the script state for one incoming request.
-func (p *Proxy) plan(r *http.Request) (target string, latency time.Duration, cut int, corrupt Corrupt, crash bool) {
+// plan consumes the script state for one incoming request. ResultFaults
+// are not planned here: they are taken as final records pass (takeCorrupt).
+func (p *Proxy) plan(r *http.Request) (target string, latency time.Duration, cut int, crash bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.requests++
 	target = p.target
 	latency = p.script.Latency
 	cut = -1
-	corrupt = CorruptNone
-	if p.script.CrashAfterRequests > 0 && p.requests == p.script.CrashAfterRequests {
+	if r.URL.Path != "/v1/cells" {
+		return
+	}
+	p.units++
+	if p.units == p.script.CrashAfterRequests {
 		crash = true
 		return
 	}
-	if strings.HasSuffix(r.URL.Path, "/events") && p.streamIdx < len(p.script.StreamFaults) {
+	if p.streamIdx < len(p.script.StreamFaults) {
 		cut = p.script.StreamFaults[p.streamIdx].CutAfterLines
 		p.streamIdx++
-	}
-	if strings.HasSuffix(r.URL.Path, "/result") && p.resultIdx < len(p.script.ResultFaults) {
-		corrupt = p.script.ResultFaults[p.resultIdx]
-		p.resultIdx++
 	}
 	return
 }
 
 func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	target, latency, cut, corrupt, crash := p.plan(r)
+	target, latency, cut, crash := p.plan(r)
 	if crash {
 		restart := p.script.RestartAfter
 		go func() {
@@ -239,11 +267,26 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
+	var unitID string
+	body := r.Body
+	if r.URL.Path == "/v1/cells" {
+		// Remember the unit's spec ID, recorded once the worker accepts.
+		data, err := io.ReadAll(r.Body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+		var req service.CellsRequest
+		if json.Unmarshal(data, &req) == nil {
+			unitID, _ = req.Spec.ID()
+		}
+		body = io.NopCloser(bytes.NewReader(data))
+	}
 	url := target + r.URL.Path
 	if r.URL.RawQuery != "" {
 		url += "?" + r.URL.RawQuery
 	}
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, url, r.Body)
+	req, err := http.NewRequestWithContext(r.Context(), r.Method, url, body)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
@@ -255,43 +298,10 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer resp.Body.Close()
-
-	if corrupt != CorruptNone && resp.StatusCode == http.StatusOK {
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(corruptBody(body, corrupt))
-		return
-	}
-
-	if r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/v1/jobs") &&
-		(resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusAccepted) {
-		// Record the accepted submission's job ID for recovery assertions,
-		// then pass the body through verbatim.
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
-		}
-		var st struct {
-			ID string `json:"id"`
-		}
-		if json.Unmarshal(body, &st) == nil && st.ID != "" {
-			p.mu.Lock()
-			p.submitted = append(p.submitted, st.ID)
-			p.mu.Unlock()
-		}
-		for k, vs := range resp.Header {
-			for _, v := range vs {
-				w.Header().Add(k, v)
-			}
-		}
-		w.WriteHeader(resp.StatusCode)
-		w.Write(body)
-		return
+	if unitID != "" && resp.StatusCode == http.StatusOK {
+		p.mu.Lock()
+		p.submitted = append(p.submitted, unitID)
+		p.mu.Unlock()
 	}
 
 	for k, vs := range resp.Header {
@@ -302,33 +312,33 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(resp.StatusCode)
 	flusher, _ := w.(http.Flusher)
 
-	if cut >= 0 {
-		// Forward NDJSON lines one by one, then sever the connection
-		// mid-stream: the client sees activity followed by a dead drop
-		// with no terminal event.
-		sc := bufio.NewScanner(resp.Body)
-		sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-		lines := 0
-		for lines < cut && sc.Scan() {
-			w.Write(sc.Bytes())
-			w.Write([]byte("\n"))
-			if flusher != nil {
-				flusher.Flush()
-			}
-			lines++
+	// Forward line by line (no line-length cap: a unit's final record
+	// carries its whole observation matrix), corrupting the final record
+	// and cutting the stream as scripted. A cut severs the connection
+	// uncleanly: the client sees activity, then a dead drop.
+	rd := bufio.NewReader(resp.Body)
+	for lines := 0; ; lines++ {
+		if lines == cut {
+			panic(http.ErrAbortHandler)
 		}
-		panic(http.ErrAbortHandler)
-	}
-
-	buf := make([]byte, 4<<10)
-	for {
-		n, err := resp.Body.Read(buf)
-		if n > 0 {
-			if _, werr := w.Write(buf[:n]); werr != nil {
+		line, err := rd.ReadBytes('\n')
+		if len(line) > 0 {
+			corrupt := CorruptNone
+			if bytes.HasPrefix(line, []byte(`{"type":"result"`)) {
+				if corrupt = p.takeCorrupt(); corrupt != CorruptNone {
+					line = corruptResult(line, corrupt)
+				}
+			}
+			if _, werr := w.Write(line); werr != nil {
 				return
 			}
 			if flusher != nil {
 				flusher.Flush()
+			}
+			if corrupt != CorruptNone {
+				p.mu.Lock()
+				p.corrupted++
+				p.mu.Unlock()
 			}
 		}
 		if err != nil {
@@ -337,8 +347,24 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// corruptBody mangles an ObservationsJSON body per kind; bodies that fail
-// to decode fall back to garbage (the point is a broken response, not a
+// corruptResult mangles the observations of a unit stream's final record
+// per kind. Garbage observations are not JSON, so that record goes out as
+// a line the client cannot decode at all.
+func corruptResult(line []byte, kind Corrupt) []byte {
+	var ln service.CellsLine
+	if err := json.Unmarshal(line, &ln); err != nil {
+		return line
+	}
+	ln.Observations = corruptBody(ln.Observations, kind)
+	out, err := json.Marshal(ln)
+	if err != nil {
+		return append(append([]byte(`{"type":"result","observations":`), ln.Observations...), "}\n"...)
+	}
+	return append(out, '\n')
+}
+
+// corruptBody mangles ObservationsJSON bytes per kind; bytes that fail
+// to decode fall back to garbage (the point is a broken result, not a
 // faithful one).
 func corruptBody(body []byte, kind Corrupt) []byte {
 	if kind == CorruptGarbage {

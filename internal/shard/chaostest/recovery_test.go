@@ -5,8 +5,8 @@ package chaostest
 // store, while the worker fleet churns (a fresh worker joins, a seeded
 // one leaves). The acceptance property is twofold: the merged result
 // stays byte-identical to the single-daemon golden run, and the
-// restarted coordinator re-submits exactly the units it had NOT
-// journaled as done — proven by counting worker-side unit submissions
+// restarted coordinator re-sends exactly the units it had NOT journaled
+// as done — proven by counting the unit requests the workers accepted
 // through the chaos proxies.
 
 import (
@@ -185,8 +185,9 @@ func runWithCoordinatorCrash(t *testing.T, spec service.JobSpec, proxies []*Prox
 	}
 
 	// The restart must re-execute exactly the remainder: every distinct
-	// unit submitted after the crash (unit job IDs are content-addressed,
-	// so identity survives coordinator incarnations and worker moves) is
+	// unit sent after the crash (unit keys are the sub-specs' content-
+	// addressed IDs, so identity survives coordinator incarnations and
+	// worker moves) is
 	// outside the journaled-done set, and together they cover exactly the
 	// plan's complement of that set.
 	norm, err := spec.Normalized()

@@ -55,7 +55,7 @@ func runChaoticTraced(t *testing.T, spec service.JobSpec, proxies []*Proxy, unit
 func traceKillScript() Script {
 	return Script{
 		StreamFaults:       []StreamFault{{CutAfterLines: 1}},
-		CrashAfterRequests: 4,
+		CrashAfterRequests: 2,
 		RestartAfter:       300 * time.Millisecond,
 	}
 }
@@ -143,8 +143,8 @@ func TestChaosTraceDeterminismAndAttempts(t *testing.T) {
 	}
 
 	// The chaos fleet's worker spans joined the trace: at least one
-	// imported span tagged with a worker URL, proving header propagation
-	// and import survive the fault script.
+	// imported span tagged with a worker URL, proving the inline spans of
+	// the unit results survive the fault script.
 	imported := 0
 	for _, sp := range export.Spans {
 		if sp.Worker != "" && sp.Service != "bdcoord" {

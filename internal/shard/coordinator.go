@@ -36,11 +36,11 @@ type Config struct {
 	// it.
 	HTTPClient *http.Client
 	// StallTimeout bounds worker *unresponsiveness* per unit attempt:
-	// after this long with no event-stream activity the coordinator
-	// probes the worker's job status, and only an unanswered probe
+	// each unit request asks the worker for a heartbeat line every
+	// quarter of it, and a stream silent for a whole StallTimeout
 	// abandons the attempt and re-queues the unit. A unit legitimately
-	// queued behind other jobs on a busy-but-healthy worker therefore
-	// waits indefinitely (the probes keep succeeding), while a worker
+	// queued behind other work on a busy-but-healthy worker therefore
+	// waits indefinitely (its heartbeats keep coming), while a worker
 	// that is connected but dead — SIGSTOP, network blackhole — is
 	// detected within one stall period. Default 5m; negative disables.
 	StallTimeout time.Duration
@@ -182,7 +182,7 @@ func New(cfg Config) (*Executor, error) {
 		cfg.DownGrace = 30 * time.Second
 	}
 	if cfg.HTTPClient == nil {
-		// No overall timeout (event streams are long-lived), but bound
+		// No overall timeout (unit streams are long-lived), but bound
 		// the silent phases of each request.
 		tr := http.DefaultTransport.(*http.Transport).Clone()
 		tr.ResponseHeaderTimeout = 30 * time.Second
@@ -924,184 +924,83 @@ func sleepCtx(ctx context.Context, d time.Duration) {
 	}
 }
 
-// unitWatch is the stall watchdog state for one unit attempt: the last
-// activity timestamp plus an optional liveness probe installed once the
-// worker-side job ID is known.
-type unitWatch struct {
-	last  atomic.Int64
-	probe atomic.Value // func(context.Context) error
-}
-
-func (w *unitWatch) touch() { w.last.Store(time.Now().UnixNano()) }
-
-// runUnitOn runs one unit attempt against one worker: submit, stream
-// progress events into the aggregate, fetch and decode the observation
-// matrix, and sanity-check its shape against the plan. It returns the
-// decoded matrix together with the raw result bytes and the unit's
-// content-addressed key (the worker-side job ID), which the caller may
-// persist for crash recovery. The whole attempt runs under a stall
-// watchdog: when the worker goes silent past StallTimeout, its job
-// status is probed, and only an unanswered probe abandons the attempt —
-// so a healthy worker whose queue is merely busy is never failed over,
-// while a dead-but-connected one is.
+// runUnitOn runs one unit attempt against one worker: a single POST
+// /v1/cells whose progress lines feed the aggregate and whose final line
+// carries the unit's canonical observation bytes and the worker's spans.
+// The bytes are decoded and shape-checked against the plan; the spans are
+// imported under the attempt's exec span. It returns the decoded matrix,
+// the raw bytes and the unit's content-addressed key (the sub-spec's ID),
+// which the caller may persist for crash recovery.
+//
+// The attempt runs under a stall watchdog: the request asks the worker to
+// heartbeat at a quarter of StallTimeout — also while the unit waits for
+// a free executor slot — so a stream silent for a whole StallTimeout
+// means a dead-but-connected worker (SIGSTOP, network blackhole) and the
+// attempt is abandoned, while a busy-but-healthy one waits indefinitely.
 func (e *Executor) runUnitOn(ctx context.Context, w *workerState, run *jobRun, u int, unitSpanID string, attempt int, stolen bool) (*core.ObservationMatrix, []byte, string, error) {
-	stall := e.cfg.StallTimeout
-	if stall <= 0 {
-		return e.attemptUnit(ctx, w.client, run, u, unitSpanID, attempt, stolen, &unitWatch{})
-	}
-	actx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	uw := &unitWatch{}
-	uw.touch()
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		tick := stall / 4
-		if tick < 10*time.Millisecond {
-			tick = 10 * time.Millisecond
-		}
-		t := time.NewTicker(tick)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-actx.Done():
-				return
-			case <-t.C:
-				if time.Since(time.Unix(0, uw.last.Load())) <= stall {
-					continue
-				}
-				// Silent past the bound: distinguish "busy" from "dead"
-				// with a status probe before giving up on the worker.
-				if p, ok := uw.probe.Load().(func(context.Context) error); ok && p != nil {
-					pctx, pcancel := context.WithTimeout(actx, stall/4)
-					err := p(pctx)
-					pcancel()
-					if err == nil {
-						uw.touch()
-						continue
-					}
-				}
-				cancel()
-				return
-			}
-		}
-	}()
-
-	om, data, key, err := e.attemptUnit(actx, w.client, run, u, unitSpanID, attempt, stolen, uw)
-	if err != nil && actx.Err() != nil && ctx.Err() == nil {
-		// The watchdog (not the job) aborted the attempt. Report it as a
-		// worker *failure* — deliberately not wrapping the underlying
-		// context.Canceled, which would make an all-workers-stalled job
-		// settle as canceled instead of failed.
-		err = fmt.Errorf("worker unresponsive (no activity for %v and status probe failed): %v", stall, err)
-	}
-	return om, data, key, err
-}
-
-// attemptUnit is the watchdog-free body of one unit attempt. The attempt
-// is traced as three children of the unit span — dispatch (the submit
-// RPC), exec (the worker running the unit, or a cache hit), validate
-// (result fetch + decode + shape check) — and the trace context rides to
-// the worker in the submission's X-BD-Trace header, so the worker's own
-// stage spans join this trace and are imported under the exec span once
-// the unit validates.
-func (e *Executor) attemptUnit(ctx context.Context, c *client.Client, run *jobRun, u int, unitSpanID string, attempt int, stolen bool, w *unitWatch) (*core.ObservationMatrix, []byte, string, error) {
 	tc := run.tc
 	unit := run.units[u]
 	sub := unit.Spec(run.full)
-	unitAttr := strconv.Itoa(u)
-	var traceParent string
-	if tc != nil {
-		traceParent = obs.FormatTraceParent(tc.TraceID, unitSpanID)
-	}
-	dispatchSpan := tc.StartChild(unitSpanID, "dispatch")
-	dispatchSpan.SetAttr("unit", unitAttr)
-	st, err := c.SubmitSpecTraced(ctx, sub, traceParent)
+	key, err := sub.NormalizedID()
 	if err != nil {
-		dispatchSpan.EndErr(err)
 		return nil, nil, "", err
 	}
-	dispatchSpan.End()
-	w.touch()
-	// With the job ID known, silence can be disambiguated: the watchdog
-	// probes the job's status and only an unanswered probe means a dead
-	// worker (a queued unit on a busy worker answers and keeps waiting).
-	w.probe.Store(func(pctx context.Context) error {
-		_, err := c.Job(pctx, st.ID)
-		return err
-	})
+	unitAttr := strconv.Itoa(u)
+	req := service.CellsRequest{Spec: sub}
+	actx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	touch := func() {}
+	var stalled atomic.Bool
+	if stall := e.cfg.StallTimeout; stall > 0 {
+		req.Heartbeat = stall / 4
+		t := time.AfterFunc(stall, func() {
+			stalled.Store(true)
+			cancel()
+		})
+		defer t.Stop()
+		touch = func() { t.Reset(stall) }
+	}
+
 	execSpan := tc.StartChild(unitSpanID, "exec")
 	execSpan.SetAttr("unit", unitAttr)
 	execSpan.SetAttr("attempt", strconv.Itoa(attempt))
-	execSpan.SetAttr("worker", c.BaseURL)
+	execSpan.SetAttr("worker", w.url)
 	if stolen {
 		execSpan.SetAttr("stolen", "true")
 	}
-	switch st.State {
-	case service.StateDone:
-		// Cache hit on the worker: the matrix is immediately fetchable.
-		execSpan.SetAttr("cache_hit", "true")
-	case service.StateFailed, service.StateCanceled:
-		err := fmt.Errorf("unit job %s born %s: %s", st.ID, st.State, st.Error)
+	res, err := w.client.Cells(actx, req, func(ln service.CellsLine) {
+		touch()
+		if ln.Type == "progress" {
+			run.agg.report(u, ln.Done)
+		}
+	})
+	if err != nil {
+		if stalled.Load() && ctx.Err() == nil {
+			// The watchdog (not the job) aborted the attempt. Report it as
+			// a worker *failure* — deliberately not wrapping the underlying
+			// context.Canceled, which would make an all-workers-stalled job
+			// settle as canceled instead of failed.
+			err = fmt.Errorf("worker unresponsive (no line for %v): %v", e.cfg.StallTimeout, err)
+		}
 		execSpan.EndErr(err)
 		return nil, nil, "", err
-	default:
-		// Follow the worker's NDJSON stream, multiplexing its per-cell
-		// progress into the coordinator's merged stream. The worker job
-		// is deliberately NOT canceled when this attempt is abandoned:
-		// worker jobs are content-addressed and deduplicated, so another
-		// coordinator job (or a concurrent coordinator) may be following
-		// the very same worker job, and its result lands in the worker's
-		// cache either way — canceling would kill an innocent consumer's
-		// unit to save already-mostly-spent compute.
-		err := c.Events(ctx, st.ID, func(ev service.Event) error {
-			w.touch()
-			switch ev.Type {
-			case "progress":
-				run.agg.report(u, ev.Done)
-			case "error":
-				return fmt.Errorf("unit job %s failed: %s", st.ID, ev.Error)
-			case "state":
-				if ev.State == service.StateCanceled {
-					return fmt.Errorf("unit job %s canceled on worker", st.ID)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			execSpan.EndErr(err)
-			return nil, nil, "", err
-		}
 	}
 	execSpan.End()
 
 	validateSpan := tc.StartChild(unitSpanID, "validate")
 	validateSpan.SetAttr("unit", unitAttr)
-	data, err := c.Result(ctx, st.ID)
-	if err != nil {
-		validateSpan.EndErr(err)
-		return nil, nil, "", err
+	data, err := res.CanonicalObservations()
+	var om *core.ObservationMatrix
+	if err == nil {
+		om, err = decodeUnitResult(data, unit, sub)
 	}
-	w.touch()
-	om, err := decodeUnitResult(data, unit, sub)
 	if err != nil {
 		validateSpan.EndErr(err)
 		return nil, nil, "", err
 	}
 	validateSpan.End()
-	if tc != nil {
-		// Best-effort import of the worker's spans for this unit job:
-		// they nest under the exec span that drove them. A worker cache
-		// hit serves spans tagged with some older trace's ID — Import
-		// filters those out. Failure here never fails the unit; the
-		// trace just lacks the worker's interior detail.
-		if export, terr := c.Trace(ctx, st.ID); terr == nil {
-			tc.Import(export.Spans, execSpan.ID(), c.BaseURL, map[string]string{"unit": unitAttr})
-		}
-	}
-	return om, data, st.ID, nil
+	tc.Import(res.Spans, execSpan.ID(), w.url, map[string]string{"unit": unitAttr})
+	return om, data, key, nil
 }
 
 // decodeUnitResult unmarshals one unit's raw result bytes and validates

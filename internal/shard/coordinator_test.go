@@ -5,6 +5,7 @@ import (
 	"net"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,11 +14,13 @@ import (
 )
 
 // worker is one in-process bdservd: a real manager behind a real HTTP
-// server on a loopback port, killable mid-run.
+// server on a loopback port, killable mid-run. running counts the unit
+// requests (POST /v1/cells) it is serving right now.
 type worker struct {
-	url string
-	mgr *service.Manager
-	srv *http.Server
+	url     string
+	mgr     *service.Manager
+	srv     *http.Server
+	running atomic.Int64
 }
 
 func startWorker(t *testing.T, cfg service.Config) *worker {
@@ -31,15 +34,22 @@ func startWorker(t *testing.T, cfg service.Config) *worker {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := &http.Server{Handler: service.NewHandler(mgr)}
-	go srv.Serve(ln)
-	w := &worker{url: "http://" + ln.Addr().String(), mgr: mgr, srv: srv}
-	t.Cleanup(func() { srv.Close() })
+	w := &worker{url: "http://" + ln.Addr().String(), mgr: mgr}
+	h := service.NewHandler(mgr)
+	w.srv = &http.Server{Handler: http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/cells" {
+			w.running.Add(1)
+			defer w.running.Add(-1)
+		}
+		h.ServeHTTP(rw, r)
+	})}
+	go w.srv.Serve(ln)
+	t.Cleanup(func() { w.srv.Close() })
 	return w
 }
 
 // kill hard-closes the worker's HTTP server: the listener stops accepting
-// and every active connection — including NDJSON event streams — is torn
+// and every active connection — including NDJSON unit streams — is torn
 // down. The manager keeps running (a real daemon's executor would too);
 // only the network presence dies.
 func (w *worker) kill() { w.srv.Close() }
@@ -249,24 +259,15 @@ func TestCoordinatorFailsOverKilledWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Kill the victim as soon as it demonstrably owns a running shard.
+	// Kill the victim as soon as it demonstrably owns a running unit.
 	deadline := time.Now().Add(60 * time.Second)
-	killed := false
-	for time.Now().Before(deadline) {
-		for _, js := range victim.mgr.List() {
-			if js.State == service.StateRunning {
-				victim.kill()
-				killed = true
-			}
-		}
-		if killed {
-			break
+	for victim.running.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("victim worker never started a unit")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if !killed {
-		t.Fatal("victim worker never started a shard job")
-	}
+	victim.kill()
 
 	fin := waitTerminal(t, coord, st.ID, 180*time.Second)
 	if fin.State != service.StateDone {
@@ -281,10 +282,11 @@ func TestCoordinatorFailsOverKilledWorker(t *testing.T) {
 	}
 }
 
-// TestCoordinatorFailsOverStalledWorker: a worker that accepts the job
-// but then goes silent — connected, no events, no completion — must trip
-// the stall watchdog and fail the shard over to the live worker, with
-// the merged hash still matching a single-daemon run.
+// TestCoordinatorFailsOverStalledWorker: a worker that accepts a unit
+// but then goes silent — connected, healthy on /healthz, no line on the
+// stream, no completion — must trip the stall watchdog and fail the unit
+// over to the live worker, with the merged hash still matching a
+// single-daemon run.
 func TestCoordinatorFailsOverStalledWorker(t *testing.T) {
 	spec := tinySpec()
 
@@ -295,17 +297,16 @@ func TestCoordinatorFailsOverStalledWorker(t *testing.T) {
 	t.Cleanup(single.Close)
 	ref, refBytes := runToDone(t, single, spec)
 
-	// A worker that admits every job and then streams nothing, forever.
+	// A worker that admits every unit and then streams nothing, forever.
+	var stalled atomic.Int64
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte(`{"status":"ok"}`))
 	})
-	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusAccepted)
-		w.Write([]byte(`{"id":"00000000000000000000000000000000","state":"queued"}`))
-	})
-	mux.HandleFunc("GET /v1/jobs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/cells", func(w http.ResponseWriter, r *http.Request) {
+		stalled.Add(1)
 		w.Header().Set("Content-Type", "application/x-ndjson")
+		w.WriteHeader(http.StatusOK)
 		if f, ok := w.(http.Flusher); ok {
 			f.Flush()
 		}
@@ -339,6 +340,9 @@ func TestCoordinatorFailsOverStalledWorker(t *testing.T) {
 	}
 	if !bytes.Equal(data, refBytes) {
 		t.Error("post-stall-failover bytes differ from single-daemon bytes")
+	}
+	if stalled.Load() == 0 {
+		t.Error("the silent worker never received a unit; the stall path went unexercised")
 	}
 }
 

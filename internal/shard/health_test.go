@@ -13,14 +13,14 @@ import (
 	"repro/internal/service"
 )
 
-// gatedWorker fronts a real worker with a health toggle and a job-POST
+// gatedWorker fronts a real worker with a health toggle and a unit-POST
 // counter: flipping healthy=false simulates a worker that died *between*
 // jobs (its /healthz fails) while still counting any unit the
 // coordinator wrongly sends it.
 type gatedWorker struct {
-	url      string
-	healthy  atomic.Bool
-	jobPosts atomic.Int64
+	url       string
+	healthy   atomic.Bool
+	unitPosts atomic.Int64
 }
 
 func startGatedWorker(t *testing.T) *gatedWorker {
@@ -41,8 +41,8 @@ func startGatedWorker(t *testing.T) *gatedWorker {
 		}
 		proxy.ServeHTTP(w, r)
 	})
-	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		g.jobPosts.Add(1)
+	mux.HandleFunc("POST /v1/cells", func(w http.ResponseWriter, r *http.Request) {
+		g.unitPosts.Add(1)
 		if !g.healthy.Load() {
 			// A dead worker refuses work, not just probes.
 			http.Error(w, `{"error":"simulated dead worker"}`, http.StatusServiceUnavailable)
@@ -110,7 +110,7 @@ func TestBreakerBlocksDeadWorkerBetweenJobs(t *testing.T) {
 	if fin.State != service.StateDone {
 		t.Fatalf("warm-up job finished %s", fin.State)
 	}
-	if flappy.jobPosts.Load() == 0 {
+	if flappy.unitPosts.Load() == 0 {
 		t.Fatal("healthy flappy worker received no unit submissions")
 	}
 
@@ -124,13 +124,13 @@ func TestBreakerBlocksDeadWorkerBetweenJobs(t *testing.T) {
 
 	// Job 2 (a different grid): every unit must go to the steady worker;
 	// the dead one must not see a single submission.
-	flappy.jobPosts.Store(0)
+	flappy.unitPosts.Store(0)
 	spec2 := tinySpec("H-Sort", "S-Sort", "H-Grep")
 	fin2, _ := runToDone(t, coord, spec2)
 	if fin2.State != service.StateDone {
 		t.Fatalf("job with open breaker finished %s: %s", fin2.State, fin2.Error)
 	}
-	if n := flappy.jobPosts.Load(); n != 0 {
+	if n := flappy.unitPosts.Load(); n != 0 {
 		t.Errorf("worker with open breaker received %d unit submissions, want 0", n)
 	}
 
@@ -138,14 +138,14 @@ func TestBreakerBlocksDeadWorkerBetweenJobs(t *testing.T) {
 	// and a fresh job uses it again.
 	flappy.healthy.Store(true)
 	waitBreaker(t, exec, 0, BreakerClosed, 5*time.Second)
-	flappy.jobPosts.Store(0)
+	flappy.unitPosts.Store(0)
 	spec3 := tinySpec("H-Sort", "S-Sort", "H-Grep", "S-Grep")
 	spec3.Cluster.SlaveNodes = 3
 	fin3, _ := runToDone(t, coord, spec3)
 	if fin3.State != service.StateDone {
 		t.Fatalf("post-recovery job finished %s: %s", fin3.State, fin3.Error)
 	}
-	if flappy.jobPosts.Load() == 0 {
+	if flappy.unitPosts.Load() == 0 {
 		t.Error("re-admitted worker received no unit submissions")
 	}
 }
@@ -188,12 +188,12 @@ func TestDispatchTrialReadmitsWithoutProber(t *testing.T) {
 	// must use it again and close the breaker.
 	flappy.healthy.Store(true)
 	time.Sleep(2 * cfg.BreakerRetry)
-	flappy.jobPosts.Store(0)
+	flappy.unitPosts.Store(0)
 	fin2, _ := runToDone(t, coord, tinySpec("H-Sort", "S-Sort", "H-Grep"))
 	if fin2.State != service.StateDone {
 		t.Fatalf("post-recovery job finished %s: %s", fin2.State, fin2.Error)
 	}
-	if flappy.jobPosts.Load() == 0 {
+	if flappy.unitPosts.Load() == 0 {
 		t.Error("recovered worker received no dispatch trial with probing disabled")
 	}
 	waitBreaker(t, exec, 0, BreakerClosed, 5*time.Second)

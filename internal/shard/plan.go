@@ -20,6 +20,7 @@ import (
 	"fmt"
 
 	"repro/internal/bigdata/custom"
+	"repro/internal/core"
 	"repro/internal/service"
 )
 
@@ -43,7 +44,9 @@ type Shard struct {
 }
 
 // Spec materializes the shard as a characterize-only sub-spec of the
-// full (normalized) job spec: same suite, seed and monitor config, the
+// full (normalized) job spec, itself in normalized form — so its
+// NormalizedID is its ID, the unit's key: same suite, seed and monitor
+// config, no analysis config, the
 // shard's workload subset, and the shard's node window expressed through
 // cluster.Config.NodeOffset — whose per-cell seeds depend on absolute
 // node indexes, making the sub-grid bit-identical to the corresponding
@@ -53,12 +56,12 @@ type Shard struct {
 // range actually references: per-cell results are functions of workload
 // names, never of what else the suite defines, so dropping unused
 // definitions cannot change a byte — but it normalizes a built-in-only
-// unit of a custom-carrying job to the *same worker job ID* as the
-// corresponding unit of a plain job, so worker-side caches are shared
-// across them.
+// unit of a custom-carrying job to the *same unit key* (the sub-spec's
+// ID) as the corresponding unit of a plain job.
 func (s Shard) Spec(full service.JobSpec) service.JobSpec {
 	sub := full
 	sub.Mode = service.ModeObservations
+	sub.Analysis = core.AnalysisConfig{}
 	sub.Workloads = append([]string(nil), s.Workloads...)
 	sub.CustomWorkloads = pruneDefs(full.CustomWorkloads, s.Workloads)
 	sub.Cluster.NodeOffset = full.Cluster.NodeOffset + s.NodeOffset

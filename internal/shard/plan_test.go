@@ -236,3 +236,35 @@ func TestShardSpecIsCharacterizeOnly(t *testing.T) {
 		t.Error("sub-spec seed drifted")
 	}
 }
+
+// TestShardSpecIsNormalized: a unit's sub-spec of a normalized job spec
+// is itself in normalized form, so the unit key the coordinator derives
+// cheaply (NormalizedID, no suite synthesis) is exactly the sub-spec's
+// ID — the value workers, the journal and the unit store agree on.
+func TestShardSpecIsNormalized(t *testing.T) {
+	analyze := customSpec("H-Sort", "S-Sort", "H-ScanProbe", "S-ScanProbe", "H-Grep")
+	observations := tinySpec("H-Sort", "S-Grep", "S-Sort")
+	observations.Mode = service.ModeObservations
+	for _, spec := range []service.JobSpec{analyze, observations} {
+		full, err := spec.Normalized()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, parts := range []int{1, 3, 8} {
+			shards, err := Plan(full, parts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, sh := range shards {
+				sub := sh.Spec(full)
+				want, err := sub.ID()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, _ := sub.NormalizedID(); got != want {
+					t.Errorf("%d parts, unit %d: NormalizedID %s != ID %s", parts, i, got, want)
+				}
+			}
+		}
+	}
+}

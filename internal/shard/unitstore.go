@@ -9,7 +9,7 @@ import (
 )
 
 // unitStore is the coordinator's on-disk store for per-unit observation
-// results, keyed by the unit's content-addressed worker job ID. It is
+// results, keyed by the unit's content-addressed sub-spec ID. It is
 // the byte-level half of crash recovery: the journal's unit_done records
 // name which units finished and under which key, and this store holds
 // the canonical bytes a restarted coordinator re-adopts instead of

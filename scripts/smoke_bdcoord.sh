@@ -100,11 +100,17 @@ CO_HASH=$(json_field "$WORKDIR/co_status.json" result_hash)
 [ -n "$CO_HASH" ] || { echo "coordinator job has no result_hash" >&2; exit 1; }
 echo "    merged hash $CO_HASH"
 
+# A unit is one POST /v1/cells per attempt; a worker keeps no job record
+# for it, so its served-request counter is the evidence it ran units.
+cells_served() { # cells_served <base-url> — completed POST /v1/cells runs
+  curl -fsS "$1/metrics" | python3 -c 'import re,sys
+m = re.search(r"^bd_http_requests_total\{method=\"POST\",path=\"/v1/cells\",code=\"200\"\} ([0-9.eE+-]+)$", sys.stdin.read(), re.M)
+print(int(float(m.group(1))) if m else 0)'
+}
+
 echo "==> verifying both workers actually executed shards"
-W1_STORES=$(curl -fsS "http://$W1_ADDR/v1/cache/stats" | python3 -c 'import json,sys; print(json.load(sys.stdin)["stores"])')
-W2_STORES=$(curl -fsS "http://$W2_ADDR/v1/cache/stats" | python3 -c 'import json,sys; print(json.load(sys.stdin)["stores"])')
-[ "$W1_STORES" -ge 1 ] || { echo "worker 1 executed no shard" >&2; exit 1; }
-[ "$W2_STORES" -ge 1 ] || { echo "worker 2 executed no shard" >&2; exit 1; }
+[ "$(cells_served "http://$W1_ADDR")" -ge 1 ] || { echo "worker 1 executed no shard" >&2; exit 1; }
+[ "$(cells_served "http://$W2_ADDR")" -ge 1 ] || { echo "worker 2 executed no shard" >&2; exit 1; }
 
 echo "==> running the same spec on a single daemon"
 curl -fsS -X POST -d "$JOB" "$SD/v1/jobs" -o "$WORKDIR/sd_submit.json"
@@ -232,10 +238,10 @@ for fam in ('bd_http_requests_total', 'bd_stage_duration_seconds',
     assert fam in text, f"family {fam} missing from /metrics"
 print(f"    /metrics: {units:.0f} units done, {hits:.0f} cache hits")
 PY
-# The workers expose the same endpoint: each executed shard jobs.
-curl -fsS "http://$W1_ADDR/metrics" | grep -q '^bd_jobs_completed_total{state="done"} [1-9]' \
-  || { echo "worker 1 /metrics shows no completed jobs" >&2; exit 1; }
-echo "    worker /metrics shows completed shard jobs"
+# The workers expose the same endpoint: each served unit requests.
+curl -fsS "http://$W1_ADDR/metrics" | grep -q '^bd_http_requests_total{method="POST",path="/v1/cells",code="200"} [1-9]' \
+  || { echo "worker 1 /metrics shows no served unit requests" >&2; exit 1; }
+echo "    worker /metrics shows served POST /v1/cells unit requests"
 
 echo "==> overlapping-suite resubmission: one workload changed (cell cache)"
 # The first job populated the coordinator's shared cell cache (under
