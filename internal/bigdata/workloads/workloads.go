@@ -405,12 +405,20 @@ type Config struct {
 // DefaultConfig returns the standard suite configuration.
 func DefaultConfig() Config { return Config{Seed: 20140901, Scale: 4096} }
 
+// Validate rejects a scale that is not a positive finite number.
+func (c Config) Validate() error {
+	if !(c.Scale > 0) || math.IsInf(c.Scale, 1) {
+		return fmt.Errorf("workloads: scale %v is not a positive finite number", c.Scale)
+	}
+	return nil
+}
+
 // Suite synthesizes all 32 workloads (16 algorithms × {Hadoop/Hive,
 // Spark/Shark}) in the paper's naming scheme. Workloads are ordered
 // H-<alg>, S-<alg> per algorithm.
 func Suite(cfg Config) ([]Workload, error) {
-	if cfg.Scale <= 0 {
-		return nil, fmt.Errorf("workloads: non-positive scale %v", cfg.Scale)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	var out []Workload
 	for _, alg := range algorithms() {
@@ -511,8 +519,8 @@ type Algorithm struct {
 // character. This is the single synthesis path shared by the 32 built-ins
 // and custom workload definitions.
 func Synthesize(alg Algorithm, eng stack.Engine, cfg Config) (Workload, error) {
-	if cfg.Scale <= 0 {
-		return Workload{}, fmt.Errorf("workloads: non-positive scale %v", cfg.Scale)
+	if err := cfg.Validate(); err != nil {
+		return Workload{}, err
 	}
 	st := StackFor(alg.Category, eng)
 	if err := st.Validate(); err != nil {

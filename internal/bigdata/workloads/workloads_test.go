@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -200,10 +201,15 @@ func TestByNameUnknown(t *testing.T) {
 }
 
 func TestSuiteRejectsBadScale(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Scale = 0
-	if _, err := Suite(cfg); err == nil {
-		t.Error("zero scale accepted")
+	for _, scale := range []float64{math.NaN(), math.Inf(1), 0, -1} {
+		cfg := DefaultConfig()
+		cfg.Scale = scale
+		if _, err := Suite(cfg); err == nil {
+			t.Errorf("Suite accepted scale %v", scale)
+		}
+		if _, err := Synthesize(Algorithm{Name: "X", Category: CategoryOffline}, stack.EngineHadoop, cfg); err == nil {
+			t.Errorf("Synthesize accepted scale %v", scale)
+		}
 	}
 }
 

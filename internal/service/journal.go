@@ -95,11 +95,12 @@ type journal struct {
 	log  *slog.Logger
 	mx   *journalMetrics
 
-	// appends counts records since the last compaction; compacting
-	// debounces concurrent compaction triggers. Both are touched by
-	// Manager.maybeCompactJournal and reset by the writer goroutine.
-	appends    atomic.Int64
-	compacting atomic.Bool
+	// appends counts records queued since the last compaction request.
+	// Appends and requests are both made under the manager's lock, and
+	// Manager.maybeCompactJournal resets it there, so at a clean close
+	// the file holds the last snapshot plus fewer than one threshold of
+	// records, however far the writer lagged.
+	appends atomic.Int64
 
 	// failure records the first persistent write problem (append encode
 	// error, failed compaction, failed reopen). It is sticky: once the
@@ -205,8 +206,6 @@ func (jl *journal) run() {
 			} else {
 				jl.f, jl.enc = f, json.NewEncoder(f)
 			}
-			jl.appends.Store(0)
-			jl.compacting.Store(false)
 			continue
 		}
 		if jl.enc == nil {

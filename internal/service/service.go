@@ -960,7 +960,7 @@ func (m *Manager) runJob(j *job) {
 }
 
 // maybeCompactJournal re-compacts the journal in flight once appends
-// since the last compaction exceed a few multiples of the retained-job
+// since the last request exceed a few multiples of the retained-job
 // bound, so a long-running daemon's journal file stays proportional to
 // -max-jobs instead of growing for the process lifetime. The snapshot is
 // taken here (the writer goroutine has no access to manager state); the
@@ -980,11 +980,15 @@ func (m *Manager) maybeCompactJournal() {
 		return
 	}
 	threshold := int64(4*m.cfg.MaxJobs + 64)
-	if jl.appends.Load() < threshold || !jl.compacting.CompareAndSwap(false, true) {
+	if jl.appends.Load() < threshold {
 		return
 	}
 
 	m.mu.Lock()
+	if jl.appends.Load() < threshold {
+		m.mu.Unlock() // a concurrent caller requested it first
+		return
+	}
 	snapshot := make([]replayedJob, 0, len(m.order))
 	for _, id := range m.order {
 		j := m.jobs[id]
@@ -1024,6 +1028,7 @@ func (m *Manager) maybeCompactJournal() {
 	}
 	m.jmu.Lock()
 	m.journal.requestCompact(snapshot)
+	jl.appends.Store(0)
 	m.jmu.Unlock()
 	m.mu.Unlock()
 }

@@ -97,8 +97,8 @@ func (s JobSpec) Normalized() (JobSpec, error) {
 	if n.Suite == (workloads.Config{}) {
 		n.Suite = workloads.DefaultConfig()
 	}
-	if n.Suite.Scale <= 0 {
-		return n, fmt.Errorf("service: non-positive suite scale %v", n.Suite.Scale)
+	if err := n.Suite.Validate(); err != nil {
+		return n, err
 	}
 
 	d := cluster.DefaultConfig()
@@ -204,9 +204,10 @@ func (s JobSpec) Normalized() (JobSpec, error) {
 // the extension never perturbs built-in cells). An empty selection means
 // the whole extended suite; otherwise the named workloads are picked in
 // the given order via the shared selection helper (unknown names error
-// with the list of valid ones).
+// with the list of valid ones). The built-ins come from the process-wide
+// suite memo, so repeated calls with one suite config synthesize once.
 func (s JobSpec) ResolveSuite() ([]workloads.Workload, error) {
-	suite, err := workloads.Suite(s.Suite)
+	suite, err := builtinSuites.get(s.Suite)
 	if err != nil {
 		return nil, err
 	}

@@ -253,7 +253,11 @@ func TestChaosMidStreamDisconnect(t *testing.T) {
 
 // TestChaosWrongShape: every corrupt kind is injected into a worker's
 // first two unit results; unit-level validation must reject each and the job
-// must still converge to the golden bytes.
+// must still converge to the golden bytes. The good worker answers after
+// a delay of several dispatch polls: a worker that just failed backs off
+// for one poll, and units of this size take milliseconds, so a prompt
+// good worker could drain the queue before the bad one took its second
+// unit.
 func TestChaosWrongShape(t *testing.T) {
 	spec := chaosSpec([]string{"H-Sort", "S-Sort", "H-Grep", "S-Grep"}, 2, 1, 1500, 8, false)
 	wantHash, wantBytes := golden(t, spec)
@@ -262,7 +266,7 @@ func TestChaosWrongShape(t *testing.T) {
 			bad := newProxy(t, startWorker(t).url, Script{
 				ResultFaults: []Corrupt{kind, kind},
 			})
-			good := newProxy(t, startWorker(t).url, Script{})
+			good := newProxy(t, startWorker(t).url, Script{Latency: 50 * time.Millisecond})
 			gotHash, gotBytes := runChaotic(t, spec, []*Proxy{bad, good}, 3)
 			assertIdentical(t, string(kind), wantHash, wantBytes, gotHash, gotBytes)
 			if n := bad.Corrupted(); n != 2 {
@@ -286,7 +290,9 @@ func TestChaosCustomWorkloads(t *testing.T) {
 		StreamFaults: []StreamFault{{CutAfterLines: 1}},
 		ResultFaults: []Corrupt{CorruptDropWorkload},
 	})
-	clean := newProxy(t, startWorker(t).url, Script{})
+	// Delayed for the reason TestChaosWrongShape gives: the flaky worker
+	// must still find a unit to corrupt after its cut stream's backoff.
+	clean := newProxy(t, startWorker(t).url, Script{Latency: 50 * time.Millisecond})
 	urls := []string{flaky.URL(), clean.URL()}
 	exec, err := shard.New(chaosExecConfig(urls, 3))
 	if err != nil {

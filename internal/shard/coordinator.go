@@ -488,7 +488,7 @@ func (e *Executor) Execute(ctx context.Context, spec service.JobSpec, progress c
 	if err != nil {
 		return nil, err
 	}
-	jobID, _ := spec.ID()
+	jobID, _ := spec.NormalizedID()
 	up, _ := service.UnitProgressFrom(ctx)
 	tc := obs.TraceFromContext(ctx)
 	parts := len(e.reg.snapshot()) * e.cfg.UnitsPerWorker

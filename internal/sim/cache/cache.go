@@ -32,12 +32,23 @@ func (s State) String() string {
 	}
 }
 
-// Line is one cache line's tag state.
+// Line is one cache line's tag state, packed into 16 bytes. Tags are
+// block addresses (addr >> lineBits, with lines of at least 4 bytes), so
+// the top two bits of the tag word are always free and hold the MESI
+// state.
 type Line struct {
-	Tag   uint64
-	State State
-	lru   uint64 // larger = more recently used
+	word uint64 // tag | State<<stateShift
+	lru  uint64 // larger = more recently used
 }
+
+const (
+	stateShift = 62
+	tagMask    = 1<<stateShift - 1
+)
+
+func (l *Line) state() State { return State(l.word >> stateShift) }
+
+func (l *Line) setState(st State) { l.word = l.word&tagMask | uint64(st)<<stateShift }
 
 // Config describes a cache's geometry.
 type Config struct {
@@ -51,6 +62,9 @@ type Config struct {
 func (c Config) Validate() error {
 	if c.SizeB <= 0 || c.Ways <= 0 || c.LineB <= 0 {
 		return fmt.Errorf("cache %q: non-positive geometry %+v", c.Name, c)
+	}
+	if c.LineB < 4 {
+		return fmt.Errorf("cache %q: line size %d below 4 bytes leaves no tag bits for the state", c.Name, c.LineB)
 	}
 	lines := c.SizeB / c.LineB
 	if lines*c.LineB != c.SizeB {
@@ -73,7 +87,8 @@ type Stats struct {
 // Cache is a single set-associative cache level.
 type Cache struct {
 	cfg      Config
-	sets     [][]Line
+	lines    []Line // set s is lines[s*ways : (s+1)*ways]
+	ways     uint64
 	nsets    uint64
 	setMask  uint64 // nsets-1 when nsets is a power of two, else 0
 	lineBits uint
@@ -89,18 +104,14 @@ func New(cfg Config) *Cache {
 	}
 	lines := cfg.SizeB / cfg.LineB
 	nsets := lines / cfg.Ways
-	sets := make([][]Line, nsets)
-	backing := make([]Line, lines)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways]
-	}
 	lb := uint(0)
 	for 1<<lb < cfg.LineB {
 		lb++
 	}
 	c := &Cache{
 		cfg:      cfg,
-		sets:     sets,
+		lines:    make([]Line, lines),
+		ways:     uint64(cfg.Ways),
 		nsets:    uint64(nsets),
 		lineBits: lb,
 	}
@@ -118,11 +129,7 @@ func (c *Cache) Config() Config { return c.cfg }
 // identically to a freshly constructed one, which lets simulation workers
 // reuse a cache across runs instead of reallocating it.
 func (c *Cache) Reset() {
-	for _, set := range c.sets {
-		for i := range set {
-			set[i] = Line{}
-		}
-	}
+	clear(c.lines)
 	c.clock = 0
 	c.stats = Stats{}
 }
@@ -131,30 +138,41 @@ func (c *Cache) Reset() {
 func (c *Cache) Stats() Stats { return c.stats }
 
 // Sets returns the number of sets (for tests).
-func (c *Cache) Sets() int { return len(c.sets) }
+func (c *Cache) Sets() int { return int(c.nsets) }
 
-func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
+// set returns the ways of addr's set and addr's tag.
+func (c *Cache) set(addr uint64) (ways []Line, tag uint64) {
 	blk := addr >> c.lineBits
 	// Modulo set indexing: the paper's 12 MB L3 has 12288 sets, which is
 	// not a power of two. The full block address is kept as the tag,
 	// which is simple and unambiguous. Power-of-two set counts (every L1
-	// and L2) take the mask fast path — index is on the hot path of each
+	// and L2) take the mask fast path — set is on the hot path of each
 	// simulated memory access.
+	var s uint64
 	if c.setMask != 0 {
-		return blk & c.setMask, blk
+		s = blk & c.setMask
+	} else {
+		s = blk % c.nsets
 	}
-	return blk % c.nsets, blk
+	base := s * c.ways
+	return c.lines[base : base+c.ways], blk
+}
+
+// find returns the valid line holding tag, or nil.
+func find(ways []Line, tag uint64) *Line {
+	for i := range ways {
+		if w := ways[i].word; w&tagMask == tag && State(w>>stateShift) != Invalid {
+			return &ways[i]
+		}
+	}
+	return nil
 }
 
 // Lookup probes for addr without modifying replacement state or counters.
 // It returns the line's state (Invalid if absent).
 func (c *Cache) Lookup(addr uint64) State {
-	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
-		if l.State != Invalid && l.Tag == tag {
-			return l.State
-		}
+	if l := find(c.set(addr)); l != nil {
+		return l.state()
 	}
 	return Invalid
 }
@@ -164,18 +182,14 @@ func (c *Cache) Lookup(addr uint64) State {
 // returned. Otherwise hit=false and the caller is responsible for filling
 // via Fill after consulting the next level.
 func (c *Cache) Access(addr uint64, write bool) (hit bool) {
-	set, tag := c.index(addr)
 	c.clock++
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
-		if l.State != Invalid && l.Tag == tag {
-			l.lru = c.clock
-			if write {
-				l.State = Modified
-			}
-			c.stats.Hits++
-			return true
+	if l := find(c.set(addr)); l != nil {
+		l.lru = c.clock
+		if write {
+			l.setState(Modified)
 		}
+		c.stats.Hits++
+		return true
 	}
 	c.stats.Misses++
 	return false
@@ -192,14 +206,14 @@ type Evicted struct {
 // set is full. The evicted line (if any) is returned so the caller can
 // propagate write-backs and maintain inclusion.
 func (c *Cache) Fill(addr uint64, st State) Evicted {
-	set, tag := c.index(addr)
+	ways, tag := c.set(addr)
 	c.clock++
 	// Prefer an invalid way.
 	victim := -1
 	var oldest uint64 = ^uint64(0)
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
-		if l.State == Invalid {
+	for i := range ways {
+		l := &ways[i]
+		if l.state() == Invalid {
 			victim = i
 			break
 		}
@@ -208,17 +222,16 @@ func (c *Cache) Fill(addr uint64, st State) Evicted {
 			victim = i
 		}
 	}
-	l := &c.sets[set][victim]
+	l := &ways[victim]
 	var ev Evicted
-	if l.State != Invalid {
-		ev = Evicted{Addr: l.Tag << c.lineBits, State: l.State, Valid: true}
+	if old := l.state(); old != Invalid {
+		ev = Evicted{Addr: (l.word & tagMask) << c.lineBits, State: old, Valid: true}
 		c.stats.Evictions++
-		if l.State == Modified {
+		if old == Modified {
 			c.stats.DirtyWritebacks++
 		}
 	}
-	l.Tag = tag
-	l.State = st
+	l.word = tag | uint64(st)<<stateShift
 	l.lru = c.clock
 	return ev
 }
@@ -226,15 +239,11 @@ func (c *Cache) Fill(addr uint64, st State) Evicted {
 // Invalidate removes addr if present, returning its prior state. Used by
 // snoops (RFO from another core) and inclusion enforcement.
 func (c *Cache) Invalidate(addr uint64) State {
-	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
-		if l.State != Invalid && l.Tag == tag {
-			st := l.State
-			l.State = Invalid
-			c.stats.Invalidations++
-			return st
-		}
+	if l := find(c.set(addr)); l != nil {
+		st := l.state()
+		l.setState(Invalid)
+		c.stats.Invalidations++
+		return st
 	}
 	return Invalid
 }
@@ -242,16 +251,12 @@ func (c *Cache) Invalidate(addr uint64) State {
 // Downgrade moves addr to Shared if present in E or M state (snoop read
 // hit), returning the prior state.
 func (c *Cache) Downgrade(addr uint64) State {
-	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
-		if l.State != Invalid && l.Tag == tag {
-			st := l.State
-			if st == Exclusive || st == Modified {
-				l.State = Shared
-			}
-			return st
+	if l := find(c.set(addr)); l != nil {
+		st := l.state()
+		if st == Exclusive || st == Modified {
+			l.setState(Shared)
 		}
+		return st
 	}
 	return Invalid
 }
@@ -259,13 +264,9 @@ func (c *Cache) Downgrade(addr uint64) State {
 // MarkDirty sets addr's line to Modified if present (write-back received
 // from an inner level under inclusion), returning whether it was present.
 func (c *Cache) MarkDirty(addr uint64) bool {
-	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
-		if l.State != Invalid && l.Tag == tag {
-			l.State = Modified
-			return true
-		}
+	if l := find(c.set(addr)); l != nil {
+		l.setState(Modified)
+		return true
 	}
 	return false
 }

@@ -3,6 +3,7 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/rng"
 )
@@ -17,6 +18,7 @@ func TestConfigValidate(t *testing.T) {
 		{Name: "zero", SizeB: 0, Ways: 1, LineB: 64},
 		{Name: "notmult", SizeB: 100, Ways: 1, LineB: 64},
 		{Name: "ways", SizeB: 512, Ways: 3, LineB: 64},
+		{Name: "line", SizeB: 512, Ways: 2, LineB: 2},
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -246,5 +248,95 @@ func TestQuickOccupancyInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestLineIsPacked(t *testing.T) {
+	if got := unsafe.Sizeof(Line{}); got != 16 {
+		t.Fatalf("Line is %d bytes, want 16", got)
+	}
+}
+
+// TestPackedMatchesReference drives the packed cache and the reference
+// layout through one random operation stream and compares every result.
+// The geometries are small enough that every set fills and evicts many
+// times: CI-scale simulations never fill the 12 MB L3, so the output
+// digests alone do not cover its eviction path. One geometry takes the
+// power-of-two mask, the other modulo set indexing (as the L3 does), and
+// half the addresses sit near the top of the address space so tags
+// reach the bits next to the packed state.
+func TestPackedMatchesReference(t *testing.T) {
+	for _, cfg := range []Config{
+		{Name: "pow2", SizeB: 8 * 4 * 64, Ways: 4, LineB: 64},
+		{Name: "modulo", SizeB: 6 * 3 * 64, Ways: 3, LineB: 64},
+	} {
+		t.Run(cfg.Name, func(t *testing.T) {
+			c, ref := New(cfg), newReference(cfg)
+			r := rng.New(uint64(cfg.SizeB))
+			blocks := 4 * cfg.SizeB / cfg.LineB
+			addrOf := func(blk int) uint64 {
+				a := uint64(blk) * uint64(cfg.LineB)
+				if blk%2 == 1 {
+					a |= 0xffff_ff00_0000_0000
+				}
+				return a
+			}
+			states := []State{Shared, Exclusive, Modified}
+			evicted := make(map[uint64]int)
+			for i := 0; i < 50000; i++ {
+				if i == 25000 {
+					c.Reset()
+					ref = newReference(cfg)
+				}
+				addr := addrOf(r.Intn(blocks)) + uint64(r.Intn(cfg.LineB))
+				switch r.Intn(6) {
+				case 0, 1:
+					write := r.Intn(2) == 0
+					hit, want := c.Access(addr, write), ref.Access(addr, write)
+					if hit != want {
+						t.Fatalf("op %d: Access(%#x, %v) = %v, reference %v", i, addr, write, hit, want)
+					}
+					if !hit {
+						st := states[r.Intn(len(states))]
+						ev, want := c.Fill(addr, st), ref.Fill(addr, st)
+						if ev != want {
+							t.Fatalf("op %d: Fill(%#x, %v) = %+v, reference %+v", i, addr, st, ev, want)
+						}
+						if ev.Valid {
+							evicted[(ev.Addr/uint64(cfg.LineB))%uint64(c.Sets())]++
+						}
+					}
+				case 2:
+					if got, want := c.Invalidate(addr), ref.Invalidate(addr); got != want {
+						t.Fatalf("op %d: Invalidate(%#x) = %v, reference %v", i, addr, got, want)
+					}
+				case 3:
+					if got, want := c.Downgrade(addr), ref.Downgrade(addr); got != want {
+						t.Fatalf("op %d: Downgrade(%#x) = %v, reference %v", i, addr, got, want)
+					}
+				case 4:
+					if got, want := c.MarkDirty(addr), ref.MarkDirty(addr); got != want {
+						t.Fatalf("op %d: MarkDirty(%#x) = %v, reference %v", i, addr, got, want)
+					}
+				case 5:
+					if got, want := c.Lookup(addr), ref.Lookup(addr); got != want {
+						t.Fatalf("op %d: Lookup(%#x) = %v, reference %v", i, addr, got, want)
+					}
+				}
+				if c.Stats() != ref.stats {
+					t.Fatalf("op %d: stats %+v, reference %+v", i, c.Stats(), ref.stats)
+				}
+			}
+			for blk := 0; blk < blocks; blk++ {
+				if got, want := c.Lookup(addrOf(blk)), ref.Lookup(addrOf(blk)); got != want {
+					t.Fatalf("final Lookup(block %d) = %v, reference %v", blk, got, want)
+				}
+			}
+			for s := 0; s < c.Sets(); s++ {
+				if evicted[uint64(s)] < cfg.Ways {
+					t.Errorf("set %d evicted %d lines, want at least %d", s, evicted[uint64(s)], cfg.Ways)
+				}
+			}
+		})
 	}
 }
